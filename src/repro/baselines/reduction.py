@@ -17,7 +17,12 @@ from typing import Callable, List, Sequence
 
 import numpy as np
 
-from .spectral import SpectralResult, dhillon_cocluster, zha_cocluster
+from .spectral import (
+    SpectralResult,
+    dhillon_cocluster,
+    labels_to_right_clusters,
+    zha_cocluster,
+)
 
 
 def reservoir_sample_indices(m: int, m_tilde: int, *, seed: int = 0) -> np.ndarray:
@@ -78,10 +83,7 @@ def random_subgraph_clusters(
 
     B = _subgraph_matrix(adj, sample, vpp)
     res = method(B, k)
-    clusters: List[List[int]] = [[] for _ in range(k)]
-    for local, lab in enumerate(res.col_labels):
-        if 0 <= lab < k:
-            clusters[int(lab)].append(int(vpp[local]))
+    clusters = labels_to_right_clusters(res.col_labels, vpp, k)
 
     # attach low-degree leftovers V' \ V'' by average-neighborhood distance
     leftovers = np.setdiff1d(vprime, vpp, assume_unique=True)

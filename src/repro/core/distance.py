@@ -14,14 +14,12 @@ int arrays). Two forms are provided:
 
 A vectorized form computes the distance from one point to *all* centers
 at once; SOFA's inner loop (line 6 of Algorithm 2) uses it. Centers are
-kept as an int->row-index dict of supports plus per-center support sizes
-so the cost of one query is O(|supp(u)| + |C|).
+kept as posting lists plus per-center support sizes so the cost of one
+query is O(|supp(u)| + |C|).
 """
 from __future__ import annotations
 
 from typing import Dict, Sequence
-
-import numpy as np
 
 DEFAULT_ALPHA = 0.1  # paper §5.1: alpha = 0.1 worked well on all datasets
 
@@ -60,60 +58,40 @@ class CenterIndex:
 
     def __init__(self, alpha: float = DEFAULT_ALPHA):
         self.alpha = float(alpha)
-        self._supports: list[np.ndarray] = []
         self._sizes: list[int] = []
-        self._alive: list[bool] = []
         self._postings: Dict[int, list[int]] = {}
-        self.n_alive = 0
 
     def add(self, support: Sequence[int]) -> int:
         """Register a new center; returns its index."""
-        idx = len(self._supports)
-        arr = np.asarray(sorted(set(int(v) for v in support)), dtype=np.int64)
-        self._supports.append(arr)
-        self._sizes.append(len(arr))
-        self._alive.append(True)
-        for v in arr.tolist():
+        idx = len(self._sizes)
+        vs = sorted(set(int(v) for v in support))
+        self._sizes.append(len(vs))
+        for v in vs:
             self._postings.setdefault(v, []).append(idx)
-        self.n_alive += 1
         return idx
 
-    def remove(self, idx: int) -> None:
-        """Mark a center dead (postings are filtered lazily at query time)."""
-        if self._alive[idx]:
-            self._alive[idx] = False
-            self.n_alive -= 1
-
-    def support(self, idx: int) -> np.ndarray:
-        return self._supports[idx]
-
-    def alive_indices(self) -> list[int]:
-        return [i for i, a in enumerate(self._alive) if a]
-
     def nearest(self, point: Sequence[int]) -> tuple[int, float]:
-        """(index, distance) of the alive center closest to ``point``.
+        """(index, distance) of the center closest to ``point``.
 
-        Raises ValueError when no centers are alive.
+        Raises ValueError when there are no centers.
         """
-        if self.n_alive == 0:
+        if not self._sizes:
             raise ValueError("no centers")
         pts = set(int(v) for v in point)
         overlaps: Dict[int, int] = {}
         for v in pts:
             for ci in self._postings.get(v, ()):
-                if self._alive[ci]:
-                    overlaps[ci] = overlaps.get(ci, 0) + 1
+                overlaps[ci] = overlaps.get(ci, 0) + 1
         a = self.alpha
         base = len(pts)
         best_i, best_d = -1, float("inf")
         # Centers with zero overlap all share distance |S| + alpha*|supp(c)|;
         # among those the one with the smallest support wins, so scan sizes.
-        for ci in self.alive_indices():
-            ov = overlaps.get(ci, 0)
-            d = base + a * self._sizes[ci] - (1.0 + a) * ov
+        for ci, size in enumerate(self._sizes):
+            d = base + a * size - (1.0 + a) * overlaps.get(ci, 0)
             if d < best_d:
                 best_i, best_d = ci, d
         return best_i, max(0.0, best_d)
 
     def __len__(self) -> int:
-        return self.n_alive
+        return len(self._sizes)

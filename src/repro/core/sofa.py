@@ -165,18 +165,17 @@ class SofaEngine:
 
     def _step(self, item: CenterState) -> bool:
         """Process one item; returns True when a restart was triggered."""
-        if not self.centers:
-            d = float("inf")
+        if self.centers:
+            ci, d = self._index.nearest(item.support)
+            p_open = min(item.weight * d / self._f, 1.0)
         else:
-            _, d = self._index.nearest(item.support)
-        p_open = 1.0 if d == float("inf") else min(item.weight * d / self._f, 1.0)
+            p_open = 1.0
         if self._rng.random() < p_open:
             self._index.add(item.support)
             self.centers.append(item)
             if len(self.centers) >= self.params.c_max:
                 return True
         else:
-            ci, d = self._index.nearest(item.support)
             self.cost += item.weight * d
             self.centers[ci].weight += item.weight
             self.centers[ci].sketch.merge(item.sketch)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Dict
+from typing import Dict
 
 from repro.synth_data import BipartiteGraph, planted_zipf_bipartite
 
@@ -91,6 +91,3 @@ def load_dataset(name: str) -> BipartiteGraph:
         raise KeyError(f"unknown dataset {name!r}; known: {DATASET_NAMES}")
     return planted_zipf_bipartite(**_SPECS[name])
 
-
-def dataset_maker(name: str) -> Callable[[], BipartiteGraph]:
-    return lambda: load_dataset(name)

@@ -41,7 +41,7 @@ from pyspark.sql import SparkSession
 from repro.baselines.asso import (
     DEFAULT_TAU_GRID,
     MemoryBudgetExceeded,
-    asso,
+    asso_best_tau,
     estimate_workspace_bytes,
 )
 from repro.baselines.reduction import rs_dhillon, rs_zha
@@ -161,19 +161,9 @@ def _run_sofa(
 def _run_basso(dataset: str, k: int) -> CellResult:
     graph = load_dataset(dataset)
     t0 = time.perf_counter()
-    best_gain, best_recall = -np.inf, -np.inf
     ws = estimate_workspace_bytes(graph.n_left, graph.n_right)
     try:
-        for tau in DEFAULT_TAU_GRID:
-            res = asso(graph.adj, graph.n_right, k, tau=tau, budget_bytes=ASSO_BUDGET)
-            mems = res.memberships
-            mems += [[] for _ in range(graph.n_left - len(mems))]
-            met = reconstruction_metrics(
-                graph.adj, mems, [r.tolist() for r in res.right]
-            )
-            if met.relative_hamming_gain > best_gain:
-                best_gain = met.relative_hamming_gain
-                best_recall = met.recall
+        res = asso_best_tau(graph.adj, graph.n_right, k, budget_bytes=ASSO_BUDGET)
     except MemoryBudgetExceeded:
         return CellResult(
             dataset=dataset, algorithm="basso", k=k,
@@ -183,9 +173,12 @@ def _run_basso(dataset: str, k: int) -> CellResult:
         )
     # paper reports basso's average single-τ time; we report it likewise
     seconds = (time.perf_counter() - t0) / len(DEFAULT_TAU_GRID)
+    mems = res.memberships
+    mems += [[] for _ in range(graph.n_left - len(mems))]
+    met = reconstruction_metrics(graph.adj, mems, [r.tolist() for r in res.right])
     return CellResult(
         dataset=dataset, algorithm="basso", k=k,
-        gain=float(best_gain), recall=float(best_recall),
+        gain=met.relative_hamming_gain, recall=met.recall,
         seconds=seconds, memory_bytes=ws,
     )
 

@@ -19,19 +19,7 @@ workspace exploding past its budget on the largest dataset.
 """
 from __future__ import annotations
 
-from typing import List, Sequence
-
-from repro.core.sofa import SofaResult
-
-
-def sofa_memory_bytes(
-    result: SofaResult, memberships: Sequence[Sequence[int]] | None = None
-) -> int:
-    """First-pass state + (optional) second-pass output state."""
-    b = result.state_bytes()
-    if memberships is not None:
-        b += sum(8 * max(1, len(m)) for m in memberships)
-    return b
+from typing import Sequence
 
 
 def membership_bytes(memberships: Sequence[Sequence[int]]) -> int:

@@ -53,23 +53,11 @@ def reconstructed_cells_df(membership_df: DataFrame, clusters_df: DataFrame) -> 
     )
 
 
-def reconstruction_metrics_df(
-    edges_df: DataFrame, membership_df: DataFrame, clusters_df: DataFrame
-) -> SparkReconstruction:
-    """Compute gain/recall counters with three aggregates over joins."""
-    cells = reconstructed_cells_df(membership_df, clusters_df)
-    edges = edges_df.select("u", "v").distinct()
-    ones = edges.count()
-    tp = edges.join(cells, ["u", "v"]).count()
-    fp = cells.join(edges, ["u", "v"], "left_anti").count()
-    return SparkReconstruction(ones=ones, true_positives=tp, false_positives=fp)
-
-
 def metrics_summary_df(
     edges_df: DataFrame, membership_df: DataFrame, clusters_df: DataFrame
 ) -> DataFrame:
-    """Single-row DataFrame (ones, tp, fp, gain, recall) — the oracle-
-    checkable form used by tests (one Catalyst plan, one collect)."""
+    """Single-row DataFrame (ones, tp, fp): the counters of
+    :class:`SparkReconstruction` from one Catalyst plan and one collect."""
     cells = reconstructed_cells_df(membership_df, clusters_df)
     edges = edges_df.select("u", "v").distinct()
     both = edges.withColumn("in_b", F.lit(1)).join(

@@ -95,15 +95,6 @@ class TestCenterIndex:
             assert d == pytest.approx(min(brute))
             assert brute[ci] == pytest.approx(min(brute))
 
-    def test_remove_excludes_center(self):
-        ix = CenterIndex(alpha=0.1)
-        i0 = ix.add([1, 2])
-        i1 = ix.add([8, 9])
-        ix.remove(i0)
-        ci, _ = ix.nearest([1, 2])
-        assert ci == i1
-        assert len(ix) == 1
-
     def test_zero_overlap_prefers_smallest_center(self):
         ix = CenterIndex(alpha=0.1)
         ix.add(list(range(10)))
@@ -128,10 +119,3 @@ class TestCenterIndex:
         brute = [hamming(c, p) for c in centers]
         assert d == pytest.approx(min(brute))
         assert brute[ci] == min(brute)
-
-    def test_alive_indices(self):
-        ix = CenterIndex()
-        a = ix.add([1])
-        b = ix.add([2])
-        ix.remove(a)
-        assert ix.alive_indices() == [b]

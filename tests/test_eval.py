@@ -12,7 +12,7 @@ from repro.eval.datasets import (
     PAPER_TABLE1,
     load_dataset,
 )
-from repro.eval.memory import fmt_bytes, membership_bytes, sofa_memory_bytes
+from repro.eval.memory import fmt_bytes, membership_bytes
 from repro.eval.quality import jaccard, jaccard_quality, labels_to_clusters
 
 
@@ -112,14 +112,6 @@ class TestMemoryAccounting:
 
     def test_membership_bytes(self):
         assert membership_bytes([[1, 2], [], [3]]) == 8 * 2 + 8 + 8
-
-    def test_sofa_memory_includes_memberships(self):
-        from repro.core.sofa import SofaParams, sofa_pass
-
-        res = sofa_pass([[1, 2]] * 10, SofaParams(k=1, c_max=4, mg_capacity=8))
-        base = sofa_memory_bytes(res)
-        with_mem = sofa_memory_bytes(res, [[0]] * 10)
-        assert with_mem == base + 80
 
 
 class TestWikiBassoOom:

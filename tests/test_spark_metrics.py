@@ -11,7 +11,6 @@ from repro.spark.metrics_df import (
     SparkReconstruction,
     metrics_summary_df,
     reconstructed_cells_df,
-    reconstruction_metrics_df,
 )
 from repro.spark.second_pass_df import assign_left_bmf_df, clusters_to_df
 
@@ -61,7 +60,8 @@ class TestSparkReconstructionDataclass:
 class TestAgainstSequential:
     def test_counts_match_reference(self, graph, clusters, dfs):
         _, edges, cdf, mdf = dfs
-        got = reconstruction_metrics_df(edges, mdf, cdf)
+        row = metrics_summary_df(edges, mdf, cdf).collect()[0]
+        got = SparkReconstruction(int(row["ones"]), int(row["tp"]), int(row["fp"]))
         want_assign = assign_left_bmf([a.tolist() for a in graph.adj], clusters)
         want = reconstruction_metrics(graph.adj, want_assign.memberships, clusters)
         assert got.ones == want.ones
@@ -108,11 +108,3 @@ class TestOracle:
                                     WHERE b.u = cells.u AND b.v = cells.v)) AS fp
         """
         assert_equivalent(summary, sql, e=graph.edge_pandas(), m=mpdf, c=cpdf)
-
-    def test_summary_matches_counting_api(self, dfs):
-        _, edges, cdf, mdf = dfs
-        row = metrics_summary_df(edges, mdf, cdf).collect()[0]
-        got = reconstruction_metrics_df(edges, mdf, cdf)
-        assert int(row["ones"]) == got.ones
-        assert int(row["tp"]) == got.true_positives
-        assert int(row["fp"]) == got.false_positives

@@ -1,4 +1,4 @@
-"""Tests for the bipartite graph generators added to synth_data."""
+"""Tests for the bipartite graph generators in synth_data."""
 import numpy as np
 import pytest
 
@@ -129,11 +129,3 @@ class TestSparkLifting:
         df = sd.to_spark_stream(spark, g, num_partitions=4)
         assert df.rdd.getNumPartitions() == 4
         assert df.count() == g.n_left
-
-    def test_lineitem_bipartite(self, spark):
-        g = sd.lineitem_bipartite(spark, sf=0.001, seed=0)
-        assert g.n_left > 0 and g.n_right > 0
-        assert g.n_edges > 0
-        # edges are deduped (order, part) pairs
-        pdf = g.edge_pandas()
-        assert not pdf.duplicated().any()
