@@ -120,8 +120,6 @@ def asso(
     right: List[np.ndarray] = []
     if len(cand) == 0:
         empty = [np.empty(0, np.int64) for _ in range(k)]
-        if flipped:
-            return AssoResult(left=empty, right=list(empty), tau=tau, workspace_bytes=ws)
         return AssoResult(left=empty, right=list(empty), tau=tau, workspace_bytes=ws)
 
     # Signed uncovered-cell matrix: +1 reward (B=1, uncovered), -1 penalty

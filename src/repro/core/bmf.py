@@ -12,9 +12,9 @@ m×n matrix):
 * relative Hamming gain: ``1 - |{(i,j): B_ij != B̃_ij}| / |{B_ij = 1}|``
 * recall: ``|{B_ij = 1 and B̃_ij = 1}| / |{B_ij = 1}|``
 
-The Spark versions live in ``repro.spark.metrics_df`` and are
-oracle-checked against DuckDB; unit tests additionally check both
-against these reference implementations.
+The Spark version lives in ``repro.spark.metrics_df``; it returns the
+same three counters, is oracle-checked against DuckDB and is unit-tested
+against this reference implementation.
 """
 from __future__ import annotations
 
@@ -69,9 +69,14 @@ def factors_from_memberships(
 
 @dataclass
 class ReconstructionMetrics:
-    ones: int          # |{B_ij = 1}|
-    errors: int        # |{B_ij != B̃_ij}|
-    true_positives: int
+    ones: int             # |{B_ij = 1}|
+    true_positives: int   # |{B_ij = 1 and B̃_ij = 1}|
+    false_positives: int  # |{B_ij = 0 and B̃_ij = 1}|
+
+    @property
+    def errors(self) -> int:
+        """|{B_ij != B̃_ij}|: false negatives plus false positives."""
+        return (self.ones - self.true_positives) + self.false_positives
 
     @property
     def relative_hamming_gain(self) -> float:
@@ -94,7 +99,7 @@ def reconstruction_metrics(
     cover \\ Γ(u).
     """
     vsets = [set(int(v) for v in vc) for vc in right_clusters]
-    ones = errors = tp = 0
+    ones = tp = fp = 0
     for u, nbrs in enumerate(adj):
         gu = set(int(v) for v in nbrs)
         cover: set = set()
@@ -102,5 +107,5 @@ def reconstruction_metrics(
             cover |= vsets[i]
         ones += len(gu)
         tp += len(gu & cover)
-        errors += len(gu ^ cover)
-    return ReconstructionMetrics(ones=ones, errors=errors, true_positives=tp)
+        fp += len(cover - gu)
+    return ReconstructionMetrics(ones, tp, fp)

@@ -18,6 +18,9 @@ from typing import List, Sequence
 
 import numpy as np
 
+N_ITER = 25  # Lloyd iterations per restart
+N_INIT = 5   # seeded restarts; the lowest-cost labeling wins
+
 
 def _densify(points: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
     """Stack sparse supports into a dense 0/1 matrix over their union
@@ -88,13 +91,12 @@ def kmedians(
     k: int,
     *,
     weights: Sequence[float] | None = None,
-    n_iter: int = 25,
-    n_init: int = 5,
     seed: int = 0,
 ) -> List[int]:
     """Cluster sparse binary points into <= k groups; returns a label per
-    point in [0, k). Runs ``n_init`` seeded restarts and keeps the lowest
-    weighted-L1-cost labeling (the O(1)-approx role of Alg. 2 line 21).
+    point in [0, k). Runs ``N_INIT`` seeded restarts of at most ``N_ITER``
+    Lloyd iterations each and keeps the lowest weighted-L1-cost labeling
+    (the O(1)-approx role of Alg. 2 line 21).
     Labels are compacted so every returned label has at least one member."""
     n = len(points)
     if n == 0:
@@ -105,9 +107,9 @@ def kmedians(
     g = np.random.default_rng(seed)
 
     best_labels, best_cost = None, float("inf")
-    for _ in range(n_init):
+    for _ in range(N_INIT):
         C = _seed_pp(X, k, w, g)
-        labels, cost = _lloyd_l1(X, C, w, n_iter)
+        labels, cost = _lloyd_l1(X, C, w, N_ITER)
         if cost < best_cost:
             best_labels, best_cost = labels, cost
     labels = best_labels

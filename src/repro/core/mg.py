@@ -101,21 +101,6 @@ class MisraGries:
         out.total = self.total
         return out
 
-    # -- serialization for shipping sketches out of Spark partitions -------
-    def to_tuples(self) -> list[Tuple[int, float]]:
-        return sorted(self.counters.items())
-
-    @classmethod
-    def from_tuples(
-        cls, capacity: int, tuples: Iterable[Tuple[int, float]], total: float
-    ) -> "MisraGries":
-        out = cls(capacity)
-        out.counters = {int(k): float(v) for k, v in tuples}
-        out.total = float(total)
-        if len(out.counters) > capacity:
-            raise ValueError("more counters than capacity in serialized sketch")
-        return out
-
     def __len__(self) -> int:
         return len(self.counters)
 

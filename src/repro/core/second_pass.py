@@ -38,9 +38,13 @@ def assign_left_biclustering(
     Empty right clusters never win (relative overlap treated as -inf);
     a vertex with zero overlap everywhere still gets the argmax (index
     of the first maximal ratio, i.e. 0 overlap / size), matching the
-    paper's formulation where every u is assigned somewhere.
+    paper's formulation where every u is assigned somewhere. With no
+    clusters at all there is nothing to assign to, and the result is
+    ``[]``.
     """
     vsets = [set(int(v) for v in vc) for vc in right_clusters]
+    if not vsets:
+        return []
     sizes = np.asarray([max(1, len(s)) for s in vsets], dtype=np.float64)
     out: List[int] = []
     for nbrs in stream:
@@ -107,10 +111,11 @@ def prune_to_top_k(
 
 
 # ---------------------------------------------------------------------------
-# Fast implementations (inverted-index). Semantically identical to the
-# reference implementations above — tests assert exact agreement — but
+# Fast §4.2 cover (inverted-index). Semantically identical to
+# assign_left_bmf — tests assert exact agreement — but
 # O(deg(u) * clusters-per-right-vertex) per vertex instead of O(k * s),
-# which is what makes the wiki-scale harness runs tractable.
+# which is what makes the θ line search over wiki-scale harness runs
+# tractable.
 # ---------------------------------------------------------------------------
 
 
@@ -125,53 +130,6 @@ def _build_inverted(right_clusters: Sequence[Sequence[int]]):
             inv.setdefault(v, []).append(i)
     sizes = np.asarray([len(s) for s in vsets], dtype=np.int64)
     return inv, vsets, sizes
-
-
-def assign_left_biclustering_fast(
-    stream: Iterable[Sequence[int]],
-    right_clusters: Sequence[Sequence[int]],
-) -> List[int]:
-    """Inverted-index version of :func:`assign_left_biclustering`;
-    identical output (same argmax tie-breaking: first maximal index)."""
-    inv, vsets, sizes = _build_inverted(right_clusters)
-    k = len(vsets)
-    if k == 0:
-        return []
-    fsizes = np.maximum(sizes, 1).astype(np.float64)
-    # precompute the zero-overlap default: argmax over ratios that are all
-    # 0 except -inf for empty clusters -> first non-empty cluster, else 0
-    nonempty = [i for i in range(k) if sizes[i] > 0]
-    default = nonempty[0] if nonempty else 0
-    out: List[int] = []
-    ov = np.zeros(k, dtype=np.int64)
-    for nbrs in stream:
-        touched: List[int] = []
-        for v in set(int(x) for x in nbrs):
-            for ci in inv.get(v, ()):
-                if ov[ci] == 0:
-                    touched.append(ci)
-                ov[ci] += 1
-        if not touched:
-            out.append(default)
-            continue
-        # among touched clusters ratio > 0; untouched are 0 (or -inf when
-        # empty). The reference argmax scans index order, so the winner is
-        # the smallest index among maximal ratios — unless the max ratio
-        # is <= 0, which cannot happen here since touched ratios are > 0.
-        best_i, best_r = -1, -1.0
-        for ci in sorted(touched):
-            r = ov[ci] / fsizes[ci]
-            if r > best_r + 1e-15:
-                best_i, best_r = ci, r
-        # an untouched cluster can still win in the reference only when
-        # every ratio is 0; touched ratios are positive, except... they
-        # can't be: ov >= 1. But index-order: reference argmax returns the
-        # first index attaining the max; if cluster 3 (touched) has the max
-        # and clusters 0-2 have ratio 0, argmax returns 3. Matches.
-        out.append(best_i)
-        for ci in touched:
-            ov[ci] = 0
-    return out
 
 
 def assign_left_bmf_fast(
@@ -207,7 +165,6 @@ def assign_left_bmf_fast(
         # (otherwise score = -|V_c \ Y| <= 0, never chosen)
         cand = {ci: (int(A[ci]), int(sizes[ci] - A[ci])) for ci in touched}
         y: set = set()
-        in_y_count = {ci: 0 for ci in cand}  # |V_c ∩ (Y \ X)| adjustments
         chosen: List[tuple[int, float]] = []
         while cand:
             best_i, best_s = -1, None

@@ -25,11 +25,3 @@ from typing import Sequence
 def membership_bytes(memberships: Sequence[Sequence[int]]) -> int:
     return sum(8 * max(1, len(m)) for m in memberships)
 
-
-def fmt_bytes(b: int) -> str:
-    """Human-readable size for table printing."""
-    for unit in ("B", "KB", "MB", "GB"):
-        if b < 1024 or unit == "GB":
-            return f"{b:.2f} {unit}" if unit != "B" else f"{b} B"
-        b /= 1024
-    return f"{b:.2f} GB"

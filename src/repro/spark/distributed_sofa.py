@@ -8,8 +8,9 @@ physical operator:
 1. **Partition pass** (``mapInPandas``): each partition of the vertex
    stream runs the sequential :class:`~repro.core.sofa.SofaEngine` over
    its rows (ordered by ``u``, the arrival order) and emits its
-   surviving weighted centers with serialized sketches — a mergeable
-   coreset of at most ``c_max`` rows per partition.
+   surviving weighted centers, one pickled ``CenterState`` (support,
+   weight, MG sketch) per row — a mergeable coreset of at most
+   ``c_max`` rows per partition.
 2. **Driver merge**: the collected coresets (tiny: ``partitions * c_max``
    rows) are re-streamed through the engine via
    :func:`~repro.core.sofa.merge_center_states`, then the standard
@@ -22,13 +23,12 @@ is exactly what mapInPandas + a driver-side merge expresses.
 """
 from __future__ import annotations
 
+import pickle
 from typing import Iterator, Optional
 
-import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 
-from repro.core.mg import MisraGries
 from repro.core.sofa import (
     CenterState,
     SofaEngine,
@@ -37,10 +37,7 @@ from repro.core.sofa import (
     merge_center_states,
 )
 
-_CORESET_SCHEMA = (
-    "support array<bigint>, weight double, "
-    "mg_keys array<bigint>, mg_vals array<double>, mg_total double"
-)
+_CORESET_SCHEMA = "state binary"  # one pickled CenterState per row
 
 
 def _partition_runner(params: SofaParams):
@@ -58,21 +55,7 @@ def _partition_runner(params: SofaParams):
         eng = SofaEngine(params, m_hint=len(rows))
         for nbrs in rows["neighbors"]:
             eng.push([int(v) for v in nbrs])
-        out = {
-            "support": [],
-            "weight": [],
-            "mg_keys": [],
-            "mg_vals": [],
-            "mg_total": [],
-        }
-        for c in eng.centers:
-            tuples = c.sketch.to_tuples()
-            out["support"].append([int(v) for v in c.support])
-            out["weight"].append(float(c.weight))
-            out["mg_keys"].append([int(k) for k, _ in tuples])
-            out["mg_vals"].append([float(v) for _, v in tuples])
-            out["mg_total"].append(float(c.sketch.total))
-        yield pd.DataFrame(out)
+        yield pd.DataFrame({"state": [pickle.dumps(c) for c in eng.centers]})
 
     return run
 
@@ -86,21 +69,7 @@ def collect_partition_coresets(
     if num_partitions is not None:
         df = df.repartition(num_partitions, "u")
     rows = df.mapInPandas(_partition_runner(params), schema=_CORESET_SCHEMA).collect()
-    states = []
-    for r in rows:
-        sk = MisraGries.from_tuples(
-            params.mg_capacity,
-            list(zip(r["mg_keys"], r["mg_vals"])),
-            r["mg_total"],
-        )
-        states.append(
-            CenterState(
-                support=np.asarray(r["support"], dtype=np.int64),
-                weight=float(r["weight"]),
-                sketch=sk,
-            )
-        )
-    return states
+    return [pickle.loads(r["state"]) for r in rows]
 
 
 def distributed_sofa(

@@ -12,34 +12,17 @@ right-cluster table and deduplicating. The quantities
     errors = (ones − tp) + fp      (symmetric difference)
 
 give gain = 1 − errors/ones and recall = tp/ones — exactly the paper's
-definitions. Every aggregate is plain relational algebra, so the tests
-oracle-check these against DuckDB SQL on the same inputs.
+definitions, computed by :class:`repro.core.bmf.ReconstructionMetrics`
+(re-exported here as ``SparkReconstruction``). Every aggregate is plain
+relational algebra, so the tests oracle-check these against DuckDB SQL
+on the same inputs.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import pyspark.sql.functions as F
 from pyspark.sql import DataFrame
 
-
-@dataclass
-class SparkReconstruction:
-    ones: int
-    true_positives: int
-    false_positives: int
-
-    @property
-    def errors(self) -> int:
-        return (self.ones - self.true_positives) + self.false_positives
-
-    @property
-    def relative_hamming_gain(self) -> float:
-        return 1.0 - self.errors / self.ones if self.ones else 0.0
-
-    @property
-    def recall(self) -> float:
-        return self.true_positives / self.ones if self.ones else 0.0
+from repro.core.bmf import ReconstructionMetrics as SparkReconstruction  # noqa: F401
 
 
 def reconstructed_cells_df(membership_df: DataFrame, clusters_df: DataFrame) -> DataFrame:

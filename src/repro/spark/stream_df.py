@@ -3,8 +3,8 @@
 The streaming model delivers left vertices one by one with all incident
 edges; in Spark that is a DataFrame with schema
 ``(u BIGINT, neighbors ARRAY<BIGINT>)`` whose row order within a
-partition is the arrival order. Helpers here convert between the
-edge-list and stream representations and compute the Table 1 dataset
+partition is the arrival order. Helpers here explode the stream into
+an edge list and compute the Table 1 dataset
 statistics (|U|, |V|, |E|, density, mean degree, P99 degree) with pure
 Catalyst expressions — each has a direct SQL equivalent that the tests
 check against DuckDB via the oracle.
@@ -20,14 +20,6 @@ from pyspark.sql import DataFrame
 def edges_from_stream(stream_df: DataFrame) -> DataFrame:
     """Explode a (u, neighbors) stream into an edge list (u, v)."""
     return stream_df.select("u", F.explode("neighbors").alias("v"))
-
-
-def stream_from_edges(edges_df: DataFrame) -> DataFrame:
-    """Group an edge list back into a (u, neighbors) stream; neighbor
-    arrays are sorted so the representation is canonical."""
-    return edges_df.groupBy("u").agg(
-        F.array_sort(F.collect_list("v")).alias("neighbors")
-    )
 
 
 def degree_df(edges_df: DataFrame) -> DataFrame:

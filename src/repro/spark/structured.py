@@ -28,6 +28,7 @@ from repro.core.sofa import SofaEngine, SofaParams, SofaResult
 from repro.synth_data import BipartiteGraph
 
 STREAM_SCHEMA = "u bigint, neighbors array<bigint>"
+MAX_FILES_PER_TRIGGER = 4  # stream files per micro-batch
 
 
 def write_stream_files(
@@ -56,7 +57,6 @@ def sofa_from_stream_dir(
     params: SofaParams,
     *,
     m_hint: Optional[int] = None,
-    max_files_per_trigger: int = 4,
     checkpoint_dir: Optional[str] = None,
 ) -> SofaResult:
     """Run SOFA's first pass over a directory of stream files using
@@ -66,7 +66,7 @@ def sofa_from_stream_dir(
 
     reader = (
         spark.readStream.schema(STREAM_SCHEMA)
-        .option("maxFilesPerTrigger", max_files_per_trigger)
+        .option("maxFilesPerTrigger", MAX_FILES_PER_TRIGGER)
         .json(stream_dir)
     )
 

@@ -12,7 +12,7 @@ from repro.eval.datasets import (
     PAPER_TABLE1,
     load_dataset,
 )
-from repro.eval.memory import fmt_bytes, membership_bytes
+from repro.eval.memory import membership_bytes
 from repro.eval.quality import jaccard, jaccard_quality, labels_to_clusters
 
 
@@ -104,12 +104,6 @@ class TestDatasets:
 
 
 class TestMemoryAccounting:
-    def test_fmt_bytes(self):
-        assert fmt_bytes(512) == "512 B"
-        assert fmt_bytes(2048) == "2.00 KB"
-        assert "MB" in fmt_bytes(5 * 1024 * 1024)
-        assert "GB" in fmt_bytes(3 * 1024**3)
-
     def test_membership_bytes(self):
         assert membership_bytes([[1, 2], [], [3]]) == 8 * 2 + 8 + 8
 

@@ -59,6 +59,9 @@ class TestBiclusteringAssignment:
     def test_empty_stream(self):
         assert assign_left_biclustering([], [[1]]) == []
 
+    def test_no_clusters(self):
+        assert assign_left_biclustering([[1]], []) == []
+
     def test_recovers_planted_left_clusters(self):
         g = sd.bipartite_sbm(k=4, ell=30, n_right=400, r=20, p=0.9,
                              q=sd.noise_q_for_expected_degree(3, 400, 20), seed=0)

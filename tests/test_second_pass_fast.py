@@ -1,17 +1,12 @@
-"""Exact-equivalence tests: fast inverted-index second pass vs the
-reference implementations (they must agree bit-for-bit)."""
+"""Exact-equivalence tests: fast inverted-index §4.2 cover vs the
+reference implementation (they must agree bit-for-bit)."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import synth_data as sd
-from repro.core.second_pass import (
-    assign_left_biclustering,
-    assign_left_biclustering_fast,
-    assign_left_bmf,
-    assign_left_bmf_fast,
-)
+from repro.core.second_pass import assign_left_bmf, assign_left_bmf_fast
 
 
 def random_instance(rng, m=40, n=60, k=6):
@@ -24,38 +19,6 @@ def random_instance(rng, m=40, n=60, k=6):
         for _ in range(k)
     ]
     return stream, clusters
-
-
-class TestBiclusteringEquivalence:
-    @pytest.mark.parametrize("seed", range(8))
-    def test_random_instances(self, seed):
-        rng = np.random.default_rng(seed)
-        stream, clusters = random_instance(rng)
-        assert assign_left_biclustering_fast(stream, clusters) == \
-            assign_left_biclustering(stream, clusters)
-
-    def test_empty_clusters_mixed(self):
-        stream = [[1, 2], [5], [99]]
-        clusters = [[], [1, 2, 3], [], [5, 6]]
-        assert assign_left_biclustering_fast(stream, clusters) == \
-            assign_left_biclustering(stream, clusters)
-
-    def test_no_clusters(self):
-        assert assign_left_biclustering_fast([[1]], []) == []
-
-    def test_zero_overlap_default(self):
-        stream = [[99]]
-        clusters = [[], [1], [2]]
-        assert assign_left_biclustering_fast(stream, clusters) == \
-            assign_left_biclustering(stream, clusters)
-
-    @given(st.integers(0, 10_000))
-    @settings(max_examples=30, deadline=None)
-    def test_hypothesis_instances(self, seed):
-        rng = np.random.default_rng(seed)
-        stream, clusters = random_instance(rng, m=15, n=25, k=4)
-        assert assign_left_biclustering_fast(stream, clusters) == \
-            assign_left_biclustering(stream, clusters)
 
 
 class TestBmfEquivalence:

@@ -37,12 +37,12 @@ class TestPartitionCoresets:
                         m_hint=planted.n_left)
         # mapInPandas m_hint is the partition size = full stream here
         assert len(states) == len(seq.centers)
-        got_w = sorted(s.weight for s in states)
-        want_w = sorted(c.weight for c in seq.centers)
-        assert got_w == pytest.approx(want_w)
-        got_sup = sorted(tuple(s.support.tolist()) for s in states)
-        want_sup = sorted(tuple(c.support.tolist()) for c in seq.centers)
-        assert got_sup == want_sup
+        for got, want in zip(states, seq.centers):
+            assert got.support.tolist() == want.support.tolist()
+            assert got.weight == want.weight
+            assert got.sketch.capacity == want.sketch.capacity
+            assert got.sketch.counters == want.sketch.counters
+            assert got.sketch.total == want.sketch.total
 
     def test_weight_conservation_across_partitions(self, spark, planted, params):
         stream = sd.to_spark_stream(spark, planted, num_partitions=4)
