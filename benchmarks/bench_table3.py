@@ -1,10 +1,14 @@
 """Benchmark for Table 3: the BMF second pass (cover + recall metrics),
-sequential-fast and Spark dataflow variants."""
+sequential-fast and Spark dataflow variants, and the sofa-auto θ
+likelihood that picks the threshold of the single sofa-auto cover."""
 import pytest
 
 from repro.core.bmf import reconstruction_metrics
 from repro.core.second_pass import assign_left_bmf_fast
+from repro.core.sofa import sofa_pass
+from repro.core.thresholds import auto_theta_from_groups
 from repro.eval.datasets import load_dataset
+from repro.eval.harness import sofa_params_for
 from repro.spark.metrics_df import metrics_summary_df
 from repro.spark.second_pass_df import assign_left_bmf_df, clusters_to_df
 from repro.synth_data import to_spark_edges, to_spark_stream
@@ -28,6 +32,17 @@ def test_second_pass_recall_sequential(benchmark, setup):
 
     m = benchmark.pedantic(run, rounds=3, iterations=1)
     assert m.recall > 0
+
+
+@pytest.mark.benchmark(group="table3")
+def test_auto_theta_flickr(benchmark):
+    """sofa-auto θ over the flickr k=16 SOFA groups (MG counters)."""
+    g = load_dataset("flickr")
+    groups = sofa_pass(g.adj, sofa_params_for(g, 16)).groups
+    theta, p, q = benchmark.pedantic(
+        auto_theta_from_groups, args=(groups,), rounds=5, iterations=1
+    )
+    assert q < theta < p
 
 
 @pytest.mark.benchmark(group="table3")

@@ -12,10 +12,10 @@ int arrays). Two forms are provided:
   Hamming. Smaller ``alpha`` promotes denser centers, which the paper
   found essential on sparse real-world data (they use 0.1).
 
-A vectorized form computes the distance from one point to *all* centers
-at once; SOFA's inner loop (line 6 of Algorithm 2) uses it. Centers are
-kept as posting lists plus per-center support sizes so the cost of one
-query is O(|supp(u)| + |C|).
+``CenterIndex`` answers SOFA's nearest-center query (line 6 of
+Algorithm 2): its posting lists give the overlap of a point with every
+center, and a Python scan over the center support sizes picks the
+nearest, so one query costs O(postings of supp(u) + |C|).
 """
 from __future__ import annotations
 

@@ -51,6 +51,13 @@ def _seed_pp(X: np.ndarray, k: int, w: np.ndarray, g: np.random.Generator) -> np
     return X[centers].copy()
 
 
+def _l1_dist(X: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """n x k L1 distances between 0/1 rows: |x - c|_1 = |x| + |c| - 2 x.c.
+    Every term is an integer below 2**53, so this equals the broadcast
+    ``np.abs(X[:, None] - C[None]).sum(2)`` exactly in O(nk) memory."""
+    return X.sum(axis=1)[:, None] + C.sum(axis=1)[None, :] - 2 * (X @ C.T)
+
+
 def _lloyd_l1(
     X: np.ndarray, C: np.ndarray, w: np.ndarray, n_iter: int
 ) -> tuple[np.ndarray, float]:
@@ -58,7 +65,7 @@ def _lloyd_l1(
     empty-cluster reseeding to the farthest point. Returns (labels, cost)."""
     labels = np.full(X.shape[0], -1, dtype=np.int64)
     for it in range(n_iter):
-        dists = np.abs(X[:, None, :] - C[None, :, :]).sum(axis=2)
+        dists = _l1_dist(X, C)
         new_labels = dists.argmin(axis=1)
         mind = dists[np.arange(X.shape[0]), new_labels]
         # reseed empty clusters at the currently worst-served point
@@ -80,7 +87,7 @@ def _lloyd_l1(
             # ones > half the total weight
             ones_w = (X[mask] * wj[:, None]).sum(axis=0)
             C[j] = (ones_w > wj.sum() / 2).astype(np.float64)
-    dists = np.abs(X[:, None, :] - C[None, :, :]).sum(axis=2)
+    dists = _l1_dist(X, C)
     labels = dists.argmin(axis=1)
     cost = float((w * dists[np.arange(X.shape[0]), labels]).sum())
     return labels, cost

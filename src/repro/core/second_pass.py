@@ -18,6 +18,7 @@ sequential reference used inside partitions and in unit tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, List, Sequence
 
 import numpy as np
@@ -110,90 +111,97 @@ def prune_to_top_k(
     return kept, [int(i) for i in order]
 
 
-# ---------------------------------------------------------------------------
-# Fast §4.2 cover (inverted-index). Semantically identical to
-# assign_left_bmf — tests assert exact agreement — but
-# O(deg(u) * clusters-per-right-vertex) per vertex instead of O(k * s),
-# which is what makes the θ line search over wiki-scale harness runs
-# tractable.
-# ---------------------------------------------------------------------------
+# Fast §4.2 cover: the same output as assign_left_bmf (tests assert exact
+# agreement) from a few NumPy calls per chosen cluster instead of O(k * s)
+# set work per vertex, which keeps the harness θ line search tractable.
+
+_BLOCK_ROWS = 1024  # left vertices whose initial overlaps are counted at once
 
 
-def _build_inverted(right_clusters: Sequence[Sequence[int]]):
-    """v -> list of cluster ids containing v, plus cluster sizes/sets."""
-    inv: dict[int, List[int]] = {}
-    vsets = []
-    for i, vc in enumerate(right_clusters):
-        s = set(int(v) for v in vc)
-        vsets.append(s)
-        for v in s:
-            inv.setdefault(v, []).append(i)
-    sizes = np.asarray([len(s) for s in vsets], dtype=np.int64)
-    return inv, vsets, sizes
+def _gather(ptr: np.ndarray, post: np.ndarray, keys: np.ndarray):
+    """Concatenated CSR rows ``post[ptr[i]:ptr[i+1]]`` for i in ``keys``,
+    plus the length of each."""
+    lo, cnt = ptr[keys], ptr[keys + 1] - ptr[keys]
+    ends = np.cumsum(cnt)
+    idx = np.arange(ends[-1] if len(ends) else 0) + np.repeat(lo - (ends - cnt), cnt)
+    return post[idx], cnt
 
 
 def assign_left_bmf_fast(
     stream: Iterable[Sequence[int]],
     right_clusters: Sequence[Sequence[int]],
 ) -> BmfAssignment:
-    """Inverted-index version of :func:`assign_left_bmf` (identical
-    output). Per vertex it maintains, for every cluster c,
+    """Array version of :func:`assign_left_bmf` (identical output).
 
-        A_c = |V_c ∩ (X \\ Y)|   (reward term)
-        B_c = |V_c \\ (X ∪ Y)|   (penalty term)
-
-    so score(V_c | X, Y) = A_c - B_c. Choosing cluster j moves the
-    elements of V_j \\ Y into Y; each moved element v decrements A_c of
-    every cluster containing v when v ∈ X, else decrements B_c.
+    Right ids that lie in some cluster are numbered by rank ("keys"); a
+    CSR index maps each key to the clusters containing it. Per vertex,
+    with X = Γ(u) and Y the union of the clusters chosen so far, the
+    dense array ``s`` holds score(V_c | X, Y) = A_c - B_c for every
+    cluster c, with A_c = |V_c ∩ (X \\ Y)| and B_c = |V_c \\ (X ∪ Y)|.
+    Initially s = 2|V_c ∩ X| - |V_c|, from one ``bincount`` over the
+    (row, cluster) postings of a block of rows; rows whose best initial
+    score is <= 0 choose nothing. Choosing cluster j moves V_j \\ Y into
+    Y: a moved key in X lowers A_c (s -= 1), any other lowers B_c
+    (s += 1), for every cluster c holding it. A chosen cluster is then
+    at score 0 and is never picked again. ``argmax`` takes the first
+    maximum, i.e. the lowest cluster id: the reference's tie-break.
+    Memory is O(block * k + Σ|V_c|).
     """
-    inv, vsets, sizes = _build_inverted(right_clusters)
-    k = len(vsets)
+    k = len(right_clusters)
+    members = [np.unique(np.asarray(vc, dtype=np.int64)) for vc in right_clusters]
+    sizes = np.asarray([len(m) for m in members], dtype=np.int64)
+    flat = np.concatenate(members) if k else np.empty(0, dtype=np.int64)
+    keys, key_of = np.unique(flat, return_inverse=True)
+    order = np.argsort(key_of, kind="stable")
+    post = np.repeat(np.arange(k), sizes)[order]  # clusters of each key, ascending
+    ptr = np.searchsorted(key_of[order], np.arange(len(keys) + 1))
+    cluster_keys = np.split(key_of, np.cumsum(sizes)[:-1]) if k else []
+    in_x = np.zeros(len(keys), dtype=bool)
+    in_y = np.zeros(len(keys), dtype=bool)
+
     totals = np.zeros(k, dtype=np.float64)
     memberships: List[List[int]] = []
     choice_scores: List[List[float]] = []
-    A = np.zeros(k, dtype=np.int64)
-    for nbrs in stream:
-        x = set(int(v) for v in nbrs)
-        # A_c = |V_c ∩ X| initially (Y empty); B_c = size_c - A_c
-        touched: List[int] = []
-        for v in x:
-            for ci in inv.get(v, ()):
-                if A[ci] == 0:
-                    touched.append(ci)
-                A[ci] += 1
-        # candidate clusters with possibly positive score must intersect X
-        # (otherwise score = -|V_c \ Y| <= 0, never chosen)
-        cand = {ci: (int(A[ci]), int(sizes[ci] - A[ci])) for ci in touched}
-        y: set = set()
-        chosen: List[tuple[int, float]] = []
-        while cand:
-            best_i, best_s = -1, None
-            for ci, (a, b) in cand.items():
-                s = a - b
-                if best_s is None or s > best_s or (s == best_s and ci < best_i):
-                    best_i, best_s = ci, s
-            if best_s is None or best_s <= 0:
-                break
-            chosen.append((best_i, float(best_s)))
-            totals[best_i] += best_s
-            # move V_best \ Y into Y and update counters of co-clusters
-            for v in vsets[best_i]:
-                if v in y:
-                    continue
-                y.add(v)
-                v_in_x = v in x
-                for cj in inv.get(v, ()):
-                    if cj not in cand:
-                        continue
-                    a, b = cand[cj]
-                    if v_in_x:
-                        cand[cj] = (a - 1, b)
-                    else:
-                        cand[cj] = (a, b - 1)
-            cand.pop(best_i, None)
-        chosen.sort()
-        memberships.append([c for c, _ in chosen])
-        choice_scores.append([s for _, s in chosen])
-        for ci in touched:
-            A[ci] = 0
+    rows_iter = iter(stream)
+    while rows := list(islice(rows_iter, _BLOCK_ROWS)):
+        nb, base = len(rows), len(memberships)
+        ids = [np.asarray(r, dtype=np.int64) for r in rows]
+        vals = np.concatenate(ids)
+        row = np.repeat(np.arange(nb), [len(a) for a in ids])
+        pos = np.searchsorted(keys, vals)
+        hit = pos < len(keys)
+        hit[hit] = keys[pos[hit]] == vals[hit]
+        # distinct (row, key) pairs, sorted by row then key
+        pair = np.unique(row[hit] * len(keys) + pos[hit])
+        prow, pkey = np.divmod(pair, max(len(keys), 1))
+        pclusters, pcnt = _gather(ptr, post, pkey)
+        overlap = np.bincount(np.repeat(prow, pcnt) * k + pclusters, minlength=nb * k)
+        start = 2 * overlap.reshape(nb, k) - sizes
+        bounds = np.searchsorted(prow, np.arange(nb + 1))
+        memberships += [[] for _ in range(nb)]
+        choice_scores += [[] for _ in range(nb)]
+        for r in np.flatnonzero(start.max(axis=1, initial=0) > 0):
+            x = pkey[bounds[r]:bounds[r + 1]]
+            in_x[x] = True
+            s = start[r].copy()
+            chosen = []
+            while True:
+                j = int(s.argmax())
+                sj = int(s[j])
+                if sj <= 0:
+                    break
+                chosen.append((j, sj))
+                totals[j] += sj
+                moved = cluster_keys[j][~in_y[cluster_keys[j]]]
+                in_y[moved] = True
+                # postings of moved keys in X count at c, the others at k + c
+                moved_c, cnt = _gather(ptr, post, moved)
+                d = np.bincount(moved_c + k * np.repeat(~in_x[moved], cnt), minlength=2 * k)
+                s += d[k:] - d[:k]
+            in_x[x] = False
+            for j, _ in chosen:
+                in_y[cluster_keys[j]] = False
+            chosen.sort()
+            memberships[base + r] = [j for j, _ in chosen]
+            choice_scores[base + r] = [float(sj) for _, sj in chosen]
     return BmfAssignment(memberships, totals, choice_scores)

@@ -25,7 +25,7 @@ Two strategies, matching the paper:
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
@@ -45,19 +45,6 @@ def theta_crossing(p: float, q: float) -> float:
     return a / (a + b)
 
 
-def _binom_logpmf(c: float, w: float, prob: float) -> float:
-    """Stirling-free log pmf via lgamma; c, w may be fractional (MG
-    counters and weights are floats)."""
-    c = min(max(c, 0.0), w)
-    return (
-        math.lgamma(w + 1)
-        - math.lgamma(c + 1)
-        - math.lgamma(w - c + 1)
-        + c * math.log(prob)
-        + (w - c) * math.log1p(-prob)
-    )
-
-
 def auto_theta(
     counter_sets: Iterable[Sequence[float]],
     weights: Sequence[float],
@@ -69,23 +56,51 @@ def auto_theta(
     of the observed MG counters; return (theta*, p*, q*).
 
     ``counter_sets[i]`` are the counter values of cluster group i,
-    ``weights[i]`` its total weight W_i.
+    ``weights[i]`` its total weight W_i. Groups with W_i <= 0 or no
+    counters are skipped; counters are clamped to [0, W_i].
+
+    Each counter c of weight W scores ``max(log Binom(c; W, p),
+    log Binom(c; W, q))`` and a grid point's likelihood is the sum of
+    these scores. The binomial coefficient ``lgamma(W+1) - lgamma(c+1)
+    - lgamma(W-c+1)`` is the same constant inside both arguments of the
+    max, so it shifts every grid point's total by the same amount: in
+    exact arithmetic, dropping it leaves the argmax unchanged. In
+    floating point it changes the rounding, and a grid pair that wins
+    by less than an ulp can flip, so it is kept — but computed once per
+    counter instead of once per grid point. The per-grid scores are
+    arrays with the scalar formula's operation order, and the sum runs
+    in counter order (``cumsum``), so the result is the scalar loop's to
+    the last bit. Ties keep the first grid pair in (p, q) order.
     """
-    counter_sets = [np.asarray(cs, dtype=np.float64) for cs in counter_sets]
-    weights = [float(w) for w in weights]
+    cs, ws = [], []
+    for c, w in zip(counter_sets, weights):
+        c, w = np.asarray(c, dtype=np.float64), float(w)
+        if w <= 0 or len(c) == 0:
+            continue
+        cs.append(np.minimum(np.maximum(c, 0.0), w))
+        ws.append(np.full(len(c), w))
+    c = np.concatenate(cs) if cs else np.empty(0)
+    w = np.concatenate(ws) if ws else np.empty(0)
+    rest = w - c
+
+    def lgamma(a: np.ndarray) -> np.ndarray:
+        # MG counters repeat a few distinct values; evaluate each once
+        vals, inv = np.unique(a, return_inverse=True)
+        return np.fromiter(map(math.lgamma, vals), np.float64, len(vals))[inv]
+
+    coef = lgamma(w + 1) - lgamma(c + 1) - lgamma(rest + 1)
+
+    def logpmf(prob: float) -> np.ndarray:
+        return coef + c * math.log(prob) + rest * math.log1p(-prob)
+
+    lq = {q: logpmf(q) for q in q_grid}
     best = (-math.inf, 0.5, 0.01)
     for p in p_grid:
+        lp = logpmf(p)
         for q in q_grid:
             if q >= p:
                 continue
-            ll = 0.0
-            for cs, w in zip(counter_sets, weights):
-                if w <= 0 or len(cs) == 0:
-                    continue
-                for c in cs:
-                    ll += max(
-                        _binom_logpmf(c, w, p), _binom_logpmf(c, w, q)
-                    )
+            ll = float(np.maximum(lp, lq[q]).cumsum()[-1]) if len(c) else 0.0
             if ll > best[0]:
                 best = (ll, p, q)
     _, p_star, q_star = best

@@ -115,8 +115,7 @@ def _evaluate_theta(
     """Second pass for one θ: cover with all candidate clusters, prune to
     the top-k by total score, compute (gain, recall)."""
     candidates = [g.right_cluster(theta).tolist() for g in result.groups]
-    stream = [a.tolist() for a in graph.adj]
-    bmf = assign_left_bmf_fast(stream, candidates)
+    bmf = assign_left_bmf_fast(graph.adj, candidates)
     kept, kept_idx = prune_to_top_k(candidates, bmf.cluster_scores, k)
     remap = {old: new for new, old in enumerate(kept_idx)}
     memberships = [
@@ -189,8 +188,7 @@ def _run_rs(dataset: str, k: int, *, zha: bool) -> CellResult:
     t0 = time.perf_counter()
     red = fn(graph.adj, k, m_tilde=RS_SAMPLE, n_tilde=RS_SAMPLE, seed=0)
     clusters = [c.tolist() for c in red.right_clusters]
-    stream = [a.tolist() for a in graph.adj]
-    bmf = assign_left_bmf_fast(stream, clusters)
+    bmf = assign_left_bmf_fast(graph.adj, clusters)
     met = reconstruction_metrics(graph.adj, bmf.memberships, clusters)
     seconds = time.perf_counter() - t0
     return CellResult(

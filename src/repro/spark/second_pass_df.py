@@ -19,8 +19,10 @@ vertices, so they map cleanly onto Catalyst:
 """
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterator, Sequence
 
+import numpy as np
 import pandas as pd
 import pyspark.sql.functions as F
 from pyspark.sql import DataFrame, SparkSession, Window
@@ -89,16 +91,13 @@ def assign_left_bmf_df(
         for pdf in batches:
             if pdf.empty:
                 continue
-            res = assign_left_bmf_fast(
-                ([int(v) for v in nbrs] for nbrs in pdf["neighbors"]), clusters
-            )
-            out_u, out_c, out_s = [], [], []
-            for u, mem, scs in zip(pdf["u"], res.memberships, res.choice_scores):
-                for ci, sc in zip(mem, scs):
-                    out_u.append(int(u))
-                    out_c.append(int(ci))
-                    out_s.append(float(sc))
-            yield pd.DataFrame({"u": out_u, "cluster": out_c, "sc": out_s})
+            res = assign_left_bmf_fast(pdf["neighbors"], clusters)
+            counts = [len(mem) for mem in res.memberships]
+            yield pd.DataFrame({
+                "u": np.repeat(pdf["u"].to_numpy(dtype=np.int64), counts),
+                "cluster": np.fromiter(chain.from_iterable(res.memberships), np.int64),
+                "sc": np.fromiter(chain.from_iterable(res.choice_scores), np.float64),
+            })
 
     return stream_df.mapInPandas(run, schema="u bigint, cluster bigint, sc double")
 

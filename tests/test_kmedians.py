@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.core.kmedians import _densify, kmedians
+from repro.core.kmedians import _densify, _l1_dist, kmedians
 
 
 class TestDensify:
@@ -17,6 +17,16 @@ class TestDensify:
         X, union = _densify([[], []])
         assert X.shape == (2, 0)
         assert union.size == 0
+
+
+class TestL1Dist:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equals_broadcast_formula(self, seed):
+        rng = np.random.default_rng(seed)
+        X = (rng.random((40, 70)) < 0.3).astype(np.float64)
+        C = (rng.random((6, 70)) < 0.5).astype(np.float64)
+        expected = np.abs(X[:, None, :] - C[None, :, :]).sum(axis=2)
+        assert np.array_equal(_l1_dist(X, C), expected)
 
 
 class TestKMedians:

@@ -6,7 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import synth_data as sd
-from repro.core.second_pass import assign_left_bmf, assign_left_bmf_fast
+from repro.core.second_pass import (
+    _BLOCK_ROWS,
+    assign_left_bmf,
+    assign_left_bmf_fast,
+)
+
+
+def assert_same(fast, ref):
+    assert fast.memberships == ref.memberships
+    assert fast.choice_scores == ref.choice_scores
+    assert np.array_equal(fast.cluster_scores, ref.cluster_scores)
 
 
 def random_instance(rng, m=40, n=60, k=6):
@@ -28,9 +38,7 @@ class TestBmfEquivalence:
         stream, clusters = random_instance(rng)
         fast = assign_left_bmf_fast(stream, clusters)
         ref = assign_left_bmf(stream, clusters)
-        assert fast.memberships == ref.memberships
-        assert fast.choice_scores == ref.choice_scores
-        assert np.allclose(fast.cluster_scores, ref.cluster_scores)
+        assert_same(fast, ref)
 
     def test_overlapping_clusters(self):
         stream = [[1, 2, 3, 4, 5, 6]]
@@ -51,6 +59,41 @@ class TestBmfEquivalence:
         assert fast.memberships == []
         fast2 = assign_left_bmf_fast([[1]], [])
         assert fast2.memberships == [[]]
+
+    def test_duplicate_ids_in_rows_and_clusters(self):
+        stream = [[1, 1, 2, 3, 3, 3], [5, 5], [7, 1, 7]]
+        clusters = [[1, 2, 2, 3], [3, 3, 5, 6], [5, 5], [7, 7, 1]]
+        ref = assign_left_bmf(stream, clusters)
+        assert_same(assign_left_bmf_fast(stream, clusters), ref)
+
+    def test_right_ids_beyond_every_cluster(self):
+        stream = [[1, 2, 900, 10**12], [10**12], [-4, 1], []]
+        clusters = [[1, 2, 3], [2, 50]]
+        ref = assign_left_bmf(stream, clusters)
+        assert_same(assign_left_bmf_fast(stream, clusters), ref)
+        assert ref.memberships == [[0], [], [], []]
+
+    def test_numpy_int_array_input(self):
+        rng = np.random.default_rng(5)
+        stream, clusters = random_instance(rng)
+        ref = assign_left_bmf(stream, clusters)
+        fast = assign_left_bmf_fast(
+            [np.asarray(r, dtype=np.int64) for r in stream],
+            [np.asarray(c, dtype=np.int32) for c in clusters],
+        )
+        assert_same(fast, ref)
+        assert all(type(c) is int for mem in fast.memberships for c in mem)
+        assert all(type(s) is float for scs in fast.choice_scores for s in scs)
+
+    def test_block_mixes_skipped_and_multi_pick_rows(self):
+        clusters = [[0, 1, 2, 3], [4, 5, 6, 7], [20, 21, 22, 23, 24, 25]]
+        # row kinds: no overlap, too little overlap, one pick, two picks
+        kinds = [[30, 31], [0, 20], [0, 1, 2], [0, 1, 2, 4, 5, 6, 40]]
+        stream = [kinds[i % 4] for i in range(2 * _BLOCK_ROWS + 7)]
+        ref = assign_left_bmf(stream, clusters)
+        fast = assign_left_bmf_fast(iter(stream), clusters)
+        assert_same(fast, ref)
+        assert fast.memberships[:4] == [[], [], [0], [0, 1]]
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)

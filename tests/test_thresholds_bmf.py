@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro import synth_data as sd
 from repro.core.bmf import (
@@ -13,11 +15,49 @@ from repro.core.bmf import (
 from repro.core.second_pass import assign_left_bmf
 from repro.core.sofa import SofaParams, sofa_pass
 from repro.core.thresholds import (
+    _P_GRID,
+    _Q_GRID,
     LINE_SEARCH_THETAS,
     auto_theta,
     auto_theta_from_groups,
     theta_crossing,
 )
+from repro.eval.datasets import load_dataset
+from repro.eval.harness import sofa_params_for
+
+
+def _binom_logpmf(c, w, prob):
+    """Full log Binomial(c; w, prob) via lgamma (c, w may be fractional)."""
+    c = min(max(c, 0.0), w)
+    return (
+        math.lgamma(w + 1)
+        - math.lgamma(c + 1)
+        - math.lgamma(w - c + 1)
+        + c * math.log(prob)
+        + (w - c) * math.log1p(-prob)
+    )
+
+
+def auto_theta_reference(counter_sets, weights):
+    """Scalar oracle of ``auto_theta``: the hard-assignment likelihood
+    with the binomial coefficient kept, summed counter by counter."""
+    counter_sets = [np.asarray(cs, dtype=np.float64) for cs in counter_sets]
+    weights = [float(w) for w in weights]
+    best = (-math.inf, 0.5, 0.01)
+    for p in _P_GRID:
+        for q in _Q_GRID:
+            if q >= p:
+                continue
+            ll = 0.0
+            for cs, w in zip(counter_sets, weights):
+                if w <= 0 or len(cs) == 0:
+                    continue
+                for c in cs:
+                    ll += max(_binom_logpmf(c, w, p), _binom_logpmf(c, w, q))
+            if ll > best[0]:
+                best = (ll, p, q)
+    _, p_star, q_star = best
+    return theta_crossing(p_star, q_star), p_star, q_star
 
 
 class TestThetaCrossing:
@@ -75,6 +115,42 @@ class TestAutoTheta:
         )
         th, p, q = auto_theta_from_groups(res.groups)
         assert 0.05 < th < 0.95
+
+    def test_all_groups_skipped_gives_first_grid_pair(self):
+        expected = (theta_crossing(_P_GRID[0], _Q_GRID[0]), _P_GRID[0], _Q_GRID[0])
+        assert auto_theta([], []) == expected
+        assert auto_theta([[], [3.0]], [5.0, 0.0]) == expected
+
+    @given(st.lists(
+        st.tuples(
+            st.one_of(st.just(0.0), st.floats(-5.0, 300.0)),
+            st.lists(st.floats(-5.0, 400.0), max_size=12),
+        ),
+        max_size=6,
+    ))
+    # near-ties decided by rounding: the first flips if the binomial
+    # coefficient is dropped, the second under pairwise summation
+    @example([(5.0, [1.0]), (2.0**-52, [1.0])])
+    @example([(8.0, [0.0] * 11), (2.0**-52, [0.0, 0.0, 0.0, 0.0, 1.0])])
+    @settings(max_examples=200, deadline=None)
+    def test_matches_scalar_oracle(self, groups):
+        """Identical (θ, p, q) to the scalar loop, including empty and
+        zero-weight groups and counters outside [0, W]."""
+        weights = [w for w, _ in groups]
+        counter_sets = [cs for _, cs in groups]
+        assert auto_theta(counter_sets, weights) == auto_theta_reference(
+            counter_sets, weights
+        )
+
+    @pytest.mark.parametrize("dataset", ["flickr", "book"])
+    def test_matches_scalar_oracle_on_standin_groups(self, dataset):
+        g = load_dataset(dataset)
+        groups = sofa_pass(g.adj, sofa_params_for(g, 16)).groups
+        counter_sets = [list(gr.sketch.counters.values()) for gr in groups]
+        weights = [gr.total_weight for gr in groups]
+        assert auto_theta_from_groups(groups) == auto_theta_reference(
+            counter_sets, weights
+        )
 
     def test_line_search_grid_matches_paper(self):
         assert LINE_SEARCH_THETAS == (0.3, 0.4, 0.5, 0.6, 0.7)
