@@ -1,4 +1,7 @@
 """Tests for the distributed SOFA operator and Structured Streaming path."""
+import json
+import os
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ from repro.spark.distributed_sofa import (
     distributed_sofa,
 )
 from repro.spark.structured import (
+    MAX_FILES_PER_TRIGGER,
     sofa_from_stream_dir,
     write_stream_files,
 )
@@ -81,10 +85,89 @@ class TestDistributedSofa:
         assert 1 <= len(res.groups) <= params.c_max
 
 
+def _ragged_stream(vertices_per_file: int) -> sd.BipartiteGraph:
+    """A shuffled planted stream that fills more than three micro-batches
+    of files, the last file short, with one vertex that has no neighbors."""
+    n_files = 3 * MAX_FILES_PER_TRIGGER + 2
+    n = vertices_per_file * (n_files - 1) + vertices_per_file // 2 + 1
+    g = sd.bipartite_sbm(k=4, ell=-(-n // 4), n_right=300, r=18, p=0.9,
+                         q=sd.noise_q_for_expected_degree(3, 300, 18), seed=5)
+    order = np.random.default_rng(5).permutation(g.n_left)[:n]
+    adj = [g.adj[i] for i in order]
+    adj[n // 3] = np.empty(0, dtype=np.int64)
+    return sd.BipartiteGraph(n, g.n_right, adj)
+
+
+def _null_neighbors_line(stream_dir: str, file_no: int, line_no: int) -> int:
+    """Rewrite one line of a stream file as ``"neighbors": null``, keeping
+    the file's mtime (arrival order); returns that line's vertex."""
+    path = os.path.join(stream_dir, f"batch-{file_no:06d}.json")
+    st = os.stat(path)
+    with open(path) as f:
+        lines = f.readlines()
+    u = json.loads(lines[line_no])["u"]
+    lines[line_no] = '{"u": %d, "neighbors": null}\n' % u
+    with open(path, "w") as f:
+        f.writelines(lines)
+    os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
+    return u
+
+
+def assert_same_result(got, want):
+    assert len(got.centers) == len(want.centers)
+    for a, b in zip(got.centers, want.centers):
+        assert a.support.tolist() == b.support.tolist()
+        assert a.weight == b.weight
+        assert list(a.sketch.counters.items()) == list(b.sketch.counters.items())
+        assert a.sketch.total == b.sketch.total
+    assert got.n_restarts == want.n_restarts
+    assert got.final_lb == want.final_lb
+    assert got.n_processed == want.n_processed
+
+
 class TestStructuredStreaming:
     def test_stream_files_roundtrip(self, tmp_path, planted):
         n_files = write_stream_files(planted, str(tmp_path / "s"), vertices_per_file=50)
         assert n_files == int(np.ceil(planted.n_left / 50))
+
+    def test_file_mtimes_follow_arrival_order(self, tmp_path, planted):
+        """The file source orders files by mtime: file numbers must sort
+        the same way, at least 2 s apart (coarse-mtime filesystems)."""
+        sdir = tmp_path / "s"
+        n_files = write_stream_files(planted, str(sdir), vertices_per_file=20)
+        mtimes = [os.stat(sdir / f"batch-{i:06d}.json").st_mtime_ns
+                  for i in range(n_files)]
+        assert n_files > 2
+        assert all(b - a >= 2_000_000_000 for a, b in zip(mtimes, mtimes[1:]))
+
+    @pytest.mark.parametrize("vertices_per_file", [7, 64])
+    def test_stream_equals_sequential_pass(
+        self, spark, tmp_path, params, vertices_per_file
+    ):
+        """Several triggers of ragged files, an empty neighbor list and a
+        null one give exactly the sequential engine's result."""
+        g = _ragged_stream(vertices_per_file)
+        sdir = str(tmp_path / "stream")
+        n_files = write_stream_files(g, sdir, vertices_per_file=vertices_per_file)
+        assert n_files > 3 * MAX_FILES_PER_TRIGGER
+        null_u = _null_neighbors_line(sdir, n_files // 2, vertices_per_file // 2)
+        assert len(g.adj[null_u]) > 0
+        stream = [[] if u == null_u else a.tolist() for u, a in enumerate(g.adj)]
+        want = sofa_pass(stream, params, m_hint=g.n_left)
+        assert want.n_restarts > 0
+        got = sofa_from_stream_dir(
+            spark, sdir, params, m_hint=g.n_left,
+            checkpoint_dir=str(tmp_path / "ckpt"),
+        )
+        assert_same_result(got, want)
+
+    def test_empty_stream(self, spark, tmp_path, params):
+        sdir = tmp_path / "empty"
+        sdir.mkdir()
+        (sdir / "batch-000000.json").write_text("")
+        res = sofa_from_stream_dir(spark, str(sdir), params)
+        assert res.n_processed == 0
+        assert res.centers == [] and res.groups == []
 
     def test_sofa_over_structured_stream(self, spark, tmp_path, planted, params):
         """foreachBatch-fed SOFA matches the sequential pass in quality."""
