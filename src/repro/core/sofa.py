@@ -25,7 +25,16 @@ happens in the second pass by total cover score.
 The engine is *incremental* (``SofaEngine.push``) so that the Spark
 layer can drive it from ``mapInPandas`` partitions and from Structured
 Streaming ``foreachBatch`` callbacks; ``sofa_pass`` is the one-shot
-wrapper matching the paper's pseudocode interface.
+wrapper matching the paper's pseudocode interface. ``push`` queues the
+vertex, and every ``BLOCK`` vertices the queue is walked in order, so
+the state is at most ``c_max`` centers plus ``BLOCK`` queued items. One
+block query gives each row its nearest center among those open when the
+block starts. This is exact: a merge changes no support, and a center
+opened at row r replaces a later row's nearest only when strictly
+closer, so the lower index keeps a tie, as a scan in order would. (The
+clamp of distances at 0 hides no tie: only a center with the row's own
+support is within 0, and no second one opens.) A restart ends the
+block; the survivors, then the unwalked rest, are queued again.
 """
 from __future__ import annotations
 
@@ -35,9 +44,11 @@ from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from .distance import DEFAULT_ALPHA, CenterIndex
+from .distance import DEFAULT_ALPHA, CenterIndex, distance_column
 from .kmedians import kmedians
 from .mg import MisraGries
+
+BLOCK = 64  # items per block query; 32 and 128 were no faster on the stand-ins
 
 
 @dataclass
@@ -88,6 +99,9 @@ class SofaResult:
     n_restarts: int
     n_processed: int
     final_lb: float
+    n_opened: int    # items that became centers (replays included)
+    n_merged: int    # items merged into their nearest center
+    n_replayed: int  # surviving centers re-fed after a restart
 
     def right_clusters(self, theta: float) -> List[np.ndarray]:
         """Ṽ_1..Ṽ_k for one rounding threshold (empty groups dropped)."""
@@ -109,11 +123,10 @@ def _as_support(nbrs: Sequence[int]) -> np.ndarray:
 class SofaEngine:
     """Incremental first-pass engine (Algorithm 2 lines 1–20).
 
-    ``push(neighbors)`` feeds one fresh stream vertex, ``push_state``
-    feeds a pre-weighted center (restart replay / distributed merge);
-    ``finalize()`` runs the postprocessing (lines 21–25) and returns a
-    :class:`SofaResult`. The engine may be finalized repeatedly — each
-    call re-derives groups from the current centers.
+    ``push(neighbors)`` queues a fresh vertex, ``push_state`` a weighted
+    center (distributed merge); ``flush()`` walks the queue, and
+    ``centers`` and the counters cover walked items only. ``finalize()``
+    flushes and runs the postprocessing (lines 21–25), repeatably.
     """
 
     def __init__(self, params: SofaParams, *, m_hint: Optional[int] = None):
@@ -122,9 +135,10 @@ class SofaEngine:
         self._rng = np.random.default_rng(params.seed)
         self.lb = 1.0
         self.cost = 0.0
-        self.n_restarts = 0
-        self.n_processed = 0
+        self.n_restarts = self.n_processed = self.n_replayed = 0
+        self.n_opened = self.n_merged = 0
         self.centers: List[CenterState] = []
+        self._pending: List[CenterState] = []
         self._index = CenterIndex(alpha=params.alpha)
         self._f = self._weight_f()
 
@@ -138,24 +152,26 @@ class SofaEngine:
         sup = _as_support(nbrs)
         sk = MisraGries(self.params.mg_capacity)
         sk.add_all(sup.tolist())
-        self.n_processed += 1
-        self._ingest(CenterState(sup, 1.0, sk))
+        self.push_state(CenterState(sup, 1.0, sk))
 
     def push_state(self, state: CenterState) -> None:
         """Feed a pre-weighted center (carries its accumulated sketch)."""
-        self.n_processed += 1
-        self._ingest(state)
+        self._pending.append(state)
+        if len(self._pending) >= BLOCK:
+            self.flush()
 
-    def _ingest(self, item: CenterState) -> None:
-        queue: List[CenterState] = [item]
-        while queue:
-            it = queue.pop(0)
-            restart = self._step(it)
-            if restart:
-                # restart on (surviving centers ++ unread suffix): the
-                # centers go to the front of the queue; the unread suffix
-                # is whatever future push() calls deliver.
-                queue = self.centers + queue
+    def flush(self) -> None:
+        """Walk the queued items in order, ``BLOCK`` at a time. After a
+        restart the queue is the surviving centers (replays), then the
+        unwalked rest; its first ``n_rep`` items are replays."""
+        queue, self._pending = self._pending, []
+        i = n_rep = 0
+        while i < len(queue):
+            n = self._walk(queue[i:i + BLOCK], n_rep - i)
+            i += n or BLOCK
+            if n:
+                queue, n_rep = self.centers + queue[i:], len(self.centers) + max(0, n_rep - i)
+                i = 0
                 self.centers = []
                 self._index = CenterIndex(alpha=self.params.alpha)
                 self.cost = 0.0
@@ -163,28 +179,41 @@ class SofaEngine:
                 self.n_restarts += 1
                 self._f = self._weight_f()
 
-    def _step(self, item: CenterState) -> bool:
-        """Process one item; returns True when a restart was triggered."""
+    def _walk(self, block: List[CenterState], n_rep: int) -> int:
+        """Lines 5–20 for each row in order (the first ``n_rep`` are
+        replays). Returns the rows walked if one restarts the pass, else 0."""
+        sups = [it.support for it in block]
+        column = distance_column(sups, self.params.alpha)
+        ci, dist = np.zeros(len(block), dtype=np.int64), np.full(len(block), np.inf)
         if self.centers:
-            ci, d = self._index.nearest(item.support)
-            p_open = min(item.weight * d / self._f, 1.0)
-        else:
-            p_open = 1.0
-        if self._rng.random() < p_open:
-            self._index.add(item.support)
-            self.centers.append(item)
-            if len(self.centers) >= self.params.c_max:
-                return True
-        else:
-            self.cost += item.weight * d
-            self.centers[ci].weight += item.weight
-            self.centers[ci].sketch.merge(item.sketch)
-            if self.cost > 2.0 * self.lb:
-                return True
-        return False
+            ci, dist = self._index.nearest_block(sups)
+        for r, it in enumerate(block):
+            self.n_replayed += r < n_rep
+            self.n_processed += r >= n_rep
+            d = float(dist[r])
+            p_open = min(it.weight * d / self._f, 1.0) if self.centers else 1.0
+            if self._rng.random() < p_open:
+                self._index.add(it.support)
+                self.centers.append(it)
+                self.n_opened += 1
+                if len(self.centers) >= self.params.c_max:
+                    return r + 1
+                col = column(r)
+                win = col < dist  # strict: a tie keeps the lower index
+                win[:r + 1] = False
+                ci[win], dist[win] = len(self.centers) - 1, col[win]
+            else:
+                self.cost += it.weight * d
+                self.centers[ci[r]].weight += it.weight
+                self.centers[ci[r]].sketch.merge(it.sketch)
+                self.n_merged += 1
+                if self.cost > 2.0 * self.lb:
+                    return r + 1
+        return 0
 
     # -- postprocessing -----------------------------------------------------
     def finalize(self) -> SofaResult:
+        self.flush()
         groups = _postprocess(self.centers, self.params)
         return SofaResult(
             centers=self.centers,
@@ -192,6 +221,9 @@ class SofaEngine:
             n_restarts=self.n_restarts,
             n_processed=self.n_processed,
             final_lb=self.lb,
+            n_opened=self.n_opened,
+            n_merged=self.n_merged,
+            n_replayed=self.n_replayed,
         )
 
 

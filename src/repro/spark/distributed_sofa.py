@@ -55,6 +55,7 @@ def _partition_runner(params: SofaParams):
         eng = SofaEngine(params, m_hint=len(rows))
         for nbrs in rows["neighbors"]:
             eng.push([int(v) for v in nbrs])
+        eng.flush()
         yield pd.DataFrame({"state": [pickle.dumps(c) for c in eng.centers]})
 
     return run

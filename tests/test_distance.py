@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.core.distance import (
     CenterIndex,
     asymmetric_hamming,
+    distance_column,
     hamming,
 )
 
@@ -70,17 +71,21 @@ class TestAsymmetricHamming:
         assert asymmetric_hamming(c, p, alpha) == pytest.approx(expect)
 
 
+def _sup(ids):
+    return np.asarray(sorted(set(ids)), dtype=np.int64)
+
+
 class TestCenterIndex:
     def test_empty_raises(self):
         with pytest.raises(ValueError):
-            CenterIndex().nearest([1])
+            CenterIndex().nearest_block([_sup([1])])
 
     def test_single_center(self):
         ix = CenterIndex(alpha=0.1)
         i = ix.add([1, 2, 3])
-        ci, d = ix.nearest([1, 2, 3])
-        assert ci == i
-        assert d == pytest.approx(0.0)
+        ci, d = ix.nearest_block([_sup([1, 2, 3])])
+        assert ci[0] == i
+        assert d[0] == pytest.approx(0.0)
 
     def test_matches_bruteforce(self):
         rng = np.random.default_rng(0)
@@ -88,9 +93,9 @@ class TestCenterIndex:
         centers = [sorted(set(rng.integers(0, 60, rng.integers(1, 15)).tolist())) for _ in range(20)]
         for c in centers:
             ix.add(c)
-        for _ in range(30):
-            p = sorted(set(rng.integers(0, 60, rng.integers(0, 15)).tolist()))
-            ci, d = ix.nearest(p)
+        points = [sorted(set(rng.integers(0, 60, rng.integers(0, 15)).tolist())) for _ in range(30)]
+        cis, ds = ix.nearest_block([_sup(p) for p in points])
+        for p, ci, d in zip(points, cis, ds):
             brute = [asymmetric_hamming(c, p, 0.1) for c in centers]
             assert d == pytest.approx(min(brute))
             assert brute[ci] == pytest.approx(min(brute))
@@ -99,15 +104,15 @@ class TestCenterIndex:
         ix = CenterIndex(alpha=0.1)
         ix.add(list(range(10)))
         small = ix.add([20])
-        ci, d = ix.nearest([30])
-        assert ci == small
-        assert d == pytest.approx(1 + 0.1 * 1)
+        ci, d = ix.nearest_block([_sup([30])])
+        assert ci[0] == small
+        assert d[0] == pytest.approx(1 + 0.1 * 1)
 
     def test_distance_never_negative(self):
         ix = CenterIndex(alpha=0.1)
         ix.add([1, 2, 3])
-        _, d = ix.nearest([1, 2, 3])
-        assert d >= 0.0
+        _, d = ix.nearest_block([_sup([1, 2, 3])])
+        assert d[0] >= 0.0
 
     def test_alpha_one_matches_plain_hamming(self):
         ix = CenterIndex(alpha=1.0)
@@ -115,7 +120,53 @@ class TestCenterIndex:
         for c in centers:
             ix.add(c)
         p = [1, 4, 9]
-        ci, d = ix.nearest(p)
+        ci, d = ix.nearest_block([_sup(p)])
         brute = [hamming(c, p) for c in centers]
-        assert d == pytest.approx(min(brute))
-        assert brute[ci] == min(brute)
+        assert d[0] == pytest.approx(min(brute))
+        assert brute[ci[0]] == min(brute)
+
+    def test_exact_tie_takes_lower_index(self):
+        ix = CenterIndex(alpha=0.1)
+        first = ix.add([1, 2])
+        ix.add([2, 3])
+        ci, d = ix.nearest_block([_sup([2]), _sup([7])])
+        assert ci.tolist() == [first, first]
+        assert d.tolist() == pytest.approx([0.1, 1.2])
+
+    @given(
+        st.lists(st.lists(st.integers(0, 6), max_size=5), min_size=1, max_size=8),
+        st.lists(st.lists(st.integers(0, 6), max_size=5), min_size=1, max_size=10),
+        st.sampled_from([0.1, 1.0]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_block_matches_bruteforce_first_minimum(self, centers, points, alpha):
+        """A small id alphabet makes ties common; each row must name the
+        first center at the smallest distance."""
+        ix = CenterIndex(alpha=alpha)
+        for c in centers:
+            ix.add(_sup(c))
+        cis, ds = ix.nearest_block([_sup(p) for p in points])
+        for p, ci, d in zip(points, cis, ds):
+            brute = [asymmetric_hamming(c, p, alpha) for c in centers]
+            assert ci == brute.index(min(brute))
+            assert d == pytest.approx(min(brute))
+
+
+class TestDistanceColumn:
+    @given(
+        st.lists(st.lists(st.integers(0, 9), max_size=6), min_size=1, max_size=12),
+        st.data(),
+        st.sampled_from([0.1, 1.0]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_bruteforce(self, points, data, alpha):
+        """Every point's distance to point j as a center, empty points and
+        points sharing no id with j included."""
+        j = data.draw(st.integers(0, len(points) - 1))
+        col = distance_column([_sup(p) for p in points], alpha)(j)
+        want = [asymmetric_hamming(points[j], p, alpha) for p in points]
+        assert col == pytest.approx(want)
+
+    def test_all_points_empty(self):
+        col = distance_column([_sup([]), _sup([])], 0.1)(1)
+        assert col.tolist() == [0.0, 0.0]
