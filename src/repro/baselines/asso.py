@@ -34,6 +34,8 @@ from typing import List, Sequence
 
 import numpy as np
 
+from repro.core.bmf import reconstruction_metrics
+
 DEFAULT_TAU_GRID = (0.2, 0.4, 0.6, 0.8)  # the paper's basso grid
 DEFAULT_BUDGET_BYTES = 256 * 1024 * 1024  # scaled stand-in for 16 GB
 
@@ -161,8 +163,6 @@ def asso_best_tau(
 ) -> AssoResult:
     """Paper protocol: try every tau in the grid, keep the best by
     relative Hamming gain (computed sparsely via the shared metrics)."""
-    from repro.core.bmf import reconstruction_metrics
-
     best: AssoResult | None = None
     best_gain = -np.inf
     for tau in tau_grid:

@@ -1,70 +1,27 @@
-"""Boolean matrix factorization glue (paper §2.2, §5.3).
+"""Boolean matrix factorization quality measures (paper §2.2, §6.2).
 
 Clusters ↔ factors: the left clusters Ũ_i are the columns of
 L ∈ {0,1}^{m×k} and the right clusters Ṽ_i are the rows of
 R ∈ {0,1}^{k×n}; B̃ = L ∘ R under the Boolean algebra is the union of
-the k rectangles Ũ_i × Ṽ_i.
+the k rectangles Ũ_i × Ṽ_i. The factors are never built: a left
+vertex's membership list and the right clusters are enough.
 
-This module holds the sequential reference implementations of the
-paper's quality measures over the *sparse* representation (never a dense
-m×n matrix):
+This module holds the sequential implementations of the paper's quality
+measures over that *sparse* representation (never a dense m×n matrix):
 
 * relative Hamming gain: ``1 - |{(i,j): B_ij != B̃_ij}| / |{B_ij = 1}|``
 * recall: ``|{B_ij = 1 and B̃_ij = 1}| / |{B_ij = 1}|``
 
 The Spark version lives in ``repro.spark.metrics_df``; it returns the
 same three counters, is oracle-checked against DuckDB and is unit-tested
-against this reference implementation.
+against this implementation.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
-
-
-@dataclass
-class BooleanFactors:
-    """Sparse Boolean factors: per-cluster member lists on both sides."""
-
-    left: List[np.ndarray]   # Ũ_i — columns of L
-    right: List[np.ndarray]  # Ṽ_i — rows of R
-    m: int
-    n: int
-
-    @property
-    def k(self) -> int:
-        return len(self.right)
-
-    def dense(self) -> tuple[np.ndarray, np.ndarray]:
-        """(L, R) as dense uint8 arrays — small inputs / tests only."""
-        L = np.zeros((self.m, self.k), dtype=np.uint8)
-        R = np.zeros((self.k, self.n), dtype=np.uint8)
-        for i, (ul, vr) in enumerate(zip(self.left, self.right)):
-            L[np.asarray(ul, dtype=np.int64), i] = 1
-            R[i, np.asarray(vr, dtype=np.int64)] = 1
-        return L, R
-
-
-def factors_from_memberships(
-    memberships: Sequence[Sequence[int]],
-    right_clusters: Sequence[Sequence[int]],
-    m: int,
-    n: int,
-) -> BooleanFactors:
-    """Build factors from per-left-vertex membership lists (§4.2 output)."""
-    k = len(right_clusters)
-    left: List[List[int]] = [[] for _ in range(k)]
-    for u, mem in enumerate(memberships):
-        for i in mem:
-            left[i].append(u)
-    return BooleanFactors(
-        left=[np.asarray(l, dtype=np.int64) for l in left],
-        right=[np.asarray(sorted(r), dtype=np.int64) for r in right_clusters],
-        m=m,
-        n=n,
-    )
 
 
 @dataclass

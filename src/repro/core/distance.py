@@ -2,7 +2,7 @@
 
 Left-side vertices and SOFA centers are sparse 0/1 vectors over the
 right-side vertex set V; we represent them by their support sets (sorted
-int arrays). Two forms are provided:
+int arrays). Two forms are used:
 
 * plain (symmetric) Hamming distance ``d(x, y) = |supp(x) Δ supp(y)|``;
 * the paper's *asymmetric weighted* Hamming distance (§5.1): for a
@@ -10,7 +10,9 @@ int arrays). Two forms are provided:
   agree, 1 when ``u`` has a 1 the center lacks, and ``alpha < 1`` when
   the center has a 1 the point lacks. ``alpha = 1`` recovers plain
   Hamming. Smaller ``alpha`` promotes denser centers, which the paper
-  found essential on sparse real-world data (they use 0.1).
+  found essential on sparse real-world data (they use 0.1). SOFA uses
+  it only in the overlap form below; the set-based formula is the test
+  oracle in ``tests/sofa_reference.py``.
 
 ``CenterIndex`` answers SOFA's nearest-center query (line 6 of
 Algorithm 2) for a block of B points at once: one ``bincount`` over
@@ -30,17 +32,6 @@ def hamming(x: Sequence[int], y: Sequence[int]) -> int:
     """Symmetric Hamming distance between two supports."""
     sx, sy = set(x), set(y)
     return len(sx ^ sy)
-
-
-def asymmetric_hamming(
-    center: Sequence[int], point: Sequence[int], alpha: float = DEFAULT_ALPHA
-) -> float:
-    """Asymmetric weighted Hamming distance of a center to a point.
-
-    cost = |supp(point) \\ supp(center)| + alpha * |supp(center) \\ supp(point)|
-    """
-    sc, sp = set(center), set(point)
-    return len(sp - sc) + alpha * len(sc - sp)
 
 
 class CenterIndex:

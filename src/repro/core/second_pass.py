@@ -11,9 +11,10 @@ Two variants, matching the paper:
   (§5.3 uses them to prune down to the k best clusters when the
   k-Medians postprocessing step was skipped).
 
-Both are embarrassingly parallel over u — the Spark implementation in
-``repro.spark.second_pass_df`` fans them out; this module is the
-sequential reference used inside partitions and in unit tests.
+The cover here is the array form, :func:`assign_left_bmf_fast`; the
+set-based pseudocode version it must match exactly is the test oracle in
+``tests/second_pass_reference.py``. ``repro.spark.second_pass_df`` runs
+the same cover inside each partition of the stream.
 """
 from __future__ import annotations
 
@@ -22,12 +23,6 @@ from itertools import islice
 from typing import Iterable, List, Sequence
 
 import numpy as np
-
-
-def score(a: set, x: set, y: set) -> int:
-    """The §4.2 covering score: reward newly covered elements of x,
-    penalize fresh over-cover outside x ∪ y."""
-    return len((x - y) & a) - len(a - (x | y))
 
 
 def assign_left_biclustering(
@@ -67,36 +62,6 @@ class BmfAssignment:
     # with it (the score each cluster contributed when it was picked).
 
 
-def assign_left_bmf(
-    stream: Iterable[Sequence[int]],
-    right_clusters: Sequence[Sequence[int]],
-) -> BmfAssignment:
-    """§4.2 greedy cover: per u, repeatedly add the positive-score argmax
-    cluster until none has positive score."""
-    vsets = [set(int(v) for v in vc) for vc in right_clusters]
-    totals = np.zeros(len(vsets), dtype=np.float64)
-    memberships: List[List[int]] = []
-    choice_scores: List[List[float]] = []
-    for nbrs in stream:
-        x = set(int(v) for v in nbrs)
-        y: set = set()
-        chosen: List[tuple[int, float]] = []
-        avail = set(range(len(vsets)))
-        while avail:
-            scores = {i: score(vsets[i], x, y) for i in avail}
-            i_star = max(scores, key=lambda i: (scores[i], -i))
-            if scores[i_star] <= 0:
-                break
-            chosen.append((i_star, float(scores[i_star])))
-            totals[i_star] += scores[i_star]
-            y |= vsets[i_star]
-            avail.discard(i_star)
-        chosen.sort()
-        memberships.append([c for c, _ in chosen])
-        choice_scores.append([s for _, s in chosen])
-    return BmfAssignment(memberships, totals, choice_scores)
-
-
 def prune_to_top_k(
     right_clusters: Sequence[Sequence[int]],
     cluster_scores: np.ndarray,
@@ -110,10 +75,6 @@ def prune_to_top_k(
     kept = [np.asarray(sorted(right_clusters[i]), dtype=np.int64) for i in order]
     return kept, [int(i) for i in order]
 
-
-# Fast §4.2 cover: the same output as assign_left_bmf (tests assert exact
-# agreement) from a few NumPy calls per chosen cluster instead of O(k * s)
-# set work per vertex, which keeps the harness θ line search tractable.
 
 _BLOCK_ROWS = 1024  # left vertices whose initial overlaps are counted at once
 
@@ -131,7 +92,9 @@ def assign_left_bmf_fast(
     stream: Iterable[Sequence[int]],
     right_clusters: Sequence[Sequence[int]],
 ) -> BmfAssignment:
-    """Array version of :func:`assign_left_bmf` (identical output).
+    """§4.2 greedy cover: per u, repeatedly add the positive-score argmax
+    cluster until none has positive score (the set-based reference's
+    output, exactly).
 
     Right ids that lie in some cluster are numbered by rank ("keys"); a
     CSR index maps each key to the clusters containing it. Per vertex,

@@ -23,7 +23,7 @@ k-Medians and emits one group per center; reduction to k clusters then
 happens in the second pass by total cover score.
 
 The engine is *incremental* (``SofaEngine.push``) so that the Spark
-layer can drive it from ``mapInPandas`` partitions and from Structured
+layer can drive it from ``mapInArrow`` partitions and from Structured
 Streaming ``foreachBatch`` callbacks; ``sofa_pass`` is the one-shot
 wrapper matching the paper's pseudocode interface. ``push`` queues the
 vertex, and every ``BLOCK`` vertices the queue is walked in order, so

@@ -32,7 +32,7 @@ cell that uses it.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -111,7 +111,7 @@ def clear_pass_cache() -> None:
 
 def _evaluate_theta(
     graph: BipartiteGraph, result: SofaResult, theta: float, k: int
-) -> Tuple[float, float, List[List[int]], List[np.ndarray]]:
+) -> Tuple[float, float, List[List[int]]]:
     """Second pass for one θ: cover with all candidate clusters, prune to
     the top-k by total score, compute (gain, recall)."""
     candidates = [g.right_cluster(theta).tolist() for g in result.groups]
@@ -122,7 +122,7 @@ def _evaluate_theta(
         [remap[c] for c in mem if c in remap] for mem in bmf.memberships
     ]
     met = reconstruction_metrics(graph.adj, memberships, [c.tolist() for c in kept])
-    return met.relative_hamming_gain, met.recall, memberships, kept
+    return met.relative_hamming_gain, met.recall, memberships
 
 
 def _run_sofa(
@@ -139,7 +139,7 @@ def _run_sofa(
     best = (-np.inf, -np.inf, None)
     best_mem: List[List[int]] = []
     for th in thetas:
-        gain, recall, memberships, _ = _evaluate_theta(graph, result, th, k)
+        gain, recall, memberships = _evaluate_theta(graph, result, th, k)
         if gain > best[0]:
             best = (gain, recall, th)
             best_mem = memberships

@@ -1,21 +1,15 @@
-"""Second pass over the stream as Spark dataflow (paper §4).
+"""Second pass over the stream as Spark dataflow (paper §4.2).
 
-Both second-pass algorithms are embarrassingly parallel over the left
-vertices, so they map cleanly onto Catalyst:
-
-* **Biclustering assignment** (§4.1) is pure relational algebra: explode
-  the stream into edges, join against the cluster membership table,
-  aggregate overlap counts per (u, cluster), rank by relative overlap
-  with a window, keep rank 1. Vertices with zero overlap everywhere are
-  attached to the lowest-indexed non-empty cluster (the sequential
-  reference's argmax tie-break). The whole plan is shuffle-joins +
-  window — no Python UDFs.
-
-* **BMF greedy cover** (§4.2) is an iterative per-vertex loop, so it is
-  a mapInPandas operator over the stream with the (small, O(k s))
-  cluster table broadcast in the closure; per (u, chosen cluster) rows
-  carry the score contribution so cluster totals (needed by §5.3
-  pruning) are a groupBy away.
+The BMF greedy cover (§4.2) is embarrassingly parallel over the left
+vertices but iterative per vertex, so it is a mapInPandas operator over
+the stream running the array cover
+:func:`~repro.core.second_pass.assign_left_bmf_fast`, with the (small,
+O(k s)) cluster table broadcast in the closure; per (u, chosen cluster)
+rows carry the score contribution so cluster totals (needed by §5.3
+pruning) are a groupBy away. The §4.1 biclustering assignment has one
+implementation, the sequential
+:func:`~repro.core.second_pass.assign_left_biclustering` that the Fig. 1
+job calls.
 """
 from __future__ import annotations
 
@@ -25,14 +19,14 @@ from typing import Iterator, Sequence
 import numpy as np
 import pandas as pd
 import pyspark.sql.functions as F
-from pyspark.sql import DataFrame, SparkSession, Window
+from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.second_pass import assign_left_bmf_fast
 
 
 def clusters_to_df(spark: SparkSession, right_clusters: Sequence[Sequence[int]]) -> DataFrame:
     """Cluster membership table (cluster BIGINT, v BIGINT). Empty clusters
-    contribute no rows (and can therefore never win an assignment)."""
+    contribute no rows."""
     rows = [
         (int(i), int(v))
         for i, vc in enumerate(right_clusters)
@@ -44,36 +38,6 @@ def clusters_to_df(spark: SparkSession, right_clusters: Sequence[Sequence[int]])
         else pd.DataFrame({"cluster": pd.Series(dtype="int64"), "v": pd.Series(dtype="int64")}),
         schema="cluster bigint, v bigint",
     )
-
-
-def assign_left_biclustering_df(
-    stream_df: DataFrame, clusters_df: DataFrame
-) -> DataFrame:
-    """§4.1 as a Catalyst plan. Returns (u BIGINT, cluster BIGINT)."""
-    edges = stream_df.select("u", F.explode("neighbors").alias("v"))
-    sizes = clusters_df.groupBy("cluster").agg(F.count("*").alias("csize"))
-    overlap = (
-        edges.join(clusters_df, "v")
-        .groupBy("u", "cluster")
-        .agg(F.count("*").alias("ov"))
-        .join(sizes, "cluster")
-        .withColumn("ratio", F.col("ov") / F.col("csize"))
-    )
-    w = Window.partitionBy("u").orderBy(F.desc("ratio"), F.asc("cluster"))
-    best = (
-        overlap.withColumn("rn", F.row_number().over(w))
-        .filter(F.col("rn") == 1)
-        .select("u", "cluster")
-    )
-    # zero-overlap vertices: argmax over all-zero ratios = lowest-indexed
-    # non-empty cluster (matches repro.core.second_pass reference)
-    default_cluster = sizes.agg(F.min("cluster").alias("cluster"))
-    rest = (
-        stream_df.select("u")
-        .join(best.select("u"), "u", "left_anti")
-        .crossJoin(default_cluster)
-    )
-    return best.unionByName(rest)
 
 
 def assign_left_bmf_df(

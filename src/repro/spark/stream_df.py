@@ -8,13 +8,32 @@ an edge list and compute the Table 1 dataset
 statistics (|U|, |V|, |E|, density, mean degree, P99 degree) with pure
 Catalyst expressions — each has a direct SQL equivalent that the tests
 check against DuckDB via the oracle.
+
+Both Spark first passes (partition coresets, Structured Streaming) feed
+a SOFA engine through one Arrow decoder, :func:`push_in_arrival_order`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+import pyarrow as pa
 import pyspark.sql.functions as F
 from pyspark.sql import DataFrame
+
+
+def push_in_arrival_order(engine, table: pa.Table) -> None:
+    """Push a ``(u, neighbors)`` Arrow table into ``engine`` in arrival
+    order: rows sorted by ``u`` (stable), each vertex's neighbors a slice
+    of the table's flattened values cut at the list offsets, a null list
+    pushed as ``[]``. One ``engine.push`` per vertex."""
+    order = np.argsort(table.column("u").to_numpy(), kind="stable")
+    lists = table.column("neighbors").combine_chunks()
+    offsets = lists.offsets.to_numpy().tolist()
+    values = lists.values.tolist()
+    valid = lists.is_valid().to_numpy(zero_copy_only=False).tolist()
+    for i in order.tolist():
+        engine.push(values[offsets[i]:offsets[i + 1]] if valid[i] else [])
 
 
 def edges_from_stream(stream_df: DataFrame) -> DataFrame:

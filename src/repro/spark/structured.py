@@ -12,12 +12,12 @@ weighted centers + MG sketches), so this is the paper's one-pass
 semantics riding on Spark's streaming runtime.
 
 Each micro-batch reaches the driver as one Arrow table
-(``DataFrame.toArrow``), is put in arrival order (``u``) by a stable
-``argsort`` on the driver, and each vertex's neighbors are pushed as a
-slice of the batch's flattened neighbor values, cut at the list
-offsets; a null list pushes as empty. The driver holds one micro-batch
-at a time: at most ``MAX_FILES_PER_TRIGGER × vertices_per_file``
-vertices, whatever the stream's length.
+(``DataFrame.toArrow``) and is pushed vertex by vertex in arrival order
+(``u``) by :func:`~repro.spark.stream_df.push_in_arrival_order`, the
+decoder the partition pass shares; a null list pushes as empty. The
+driver holds one micro-batch at a time: at most
+``MAX_FILES_PER_TRIGGER × vertices_per_file`` vertices, whatever the
+stream's length.
 
 ``availableNow`` triggering processes the backlog and stops, which makes
 the path deterministic and testable; a live deployment would use the
@@ -30,10 +30,10 @@ import os
 import time
 from typing import Optional
 
-import numpy as np
 from pyspark.sql import SparkSession
 
 from repro.core.sofa import SofaEngine, SofaParams, SofaResult
+from repro.spark.stream_df import push_in_arrival_order
 from repro.synth_data import BipartiteGraph
 
 STREAM_SCHEMA = "u bigint, neighbors array<bigint>"
@@ -96,14 +96,7 @@ def sofa_from_stream_dir(
     )
 
     def feed(batch_df, batch_id: int) -> None:
-        table = batch_df.toArrow()
-        order = np.argsort(table.column("u").to_numpy(), kind="stable")
-        lists = table.column("neighbors").combine_chunks()
-        offsets = lists.offsets.to_numpy().tolist()
-        values = lists.values.tolist()
-        valid = lists.is_valid().to_numpy(zero_copy_only=False).tolist()
-        for i in order.tolist():
-            engine.push(values[offsets[i]:offsets[i + 1]] if valid[i] else [])
+        push_in_arrival_order(engine, batch_df.toArrow())
 
     writer = reader.writeStream.foreachBatch(feed).trigger(availableNow=True)
     if checkpoint_dir is not None:

@@ -5,6 +5,8 @@ center for its nearest one (``ScanIndex.nearest``), and a restart
 re-queues the surviving centers in front of the item queue. The engine
 in ``repro.core.sofa`` walks the same stream in blocks and must leave
 exactly the same state; ``state_of`` is what the tests compare.
+``asymmetric_hamming`` is the §5.1 distance as a set formula, the oracle
+of ``repro.core.distance.CenterIndex``.
 
 Run as a script, it compares the two on every stand-in (dataset, k)
 cell of the grid, and on flickr and wiki at the paper's k = 200, in
@@ -22,7 +24,7 @@ import time
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
-import pandas as pd
+import pyarrow as pa
 
 from repro.core.distance import DEFAULT_ALPHA
 from repro.core.mg import MisraGries
@@ -40,6 +42,17 @@ from repro.eval.harness import sofa_params_for
 from repro.spark.distributed_sofa import _partition_runner
 
 N_PARTS = 8
+
+
+def asymmetric_hamming(
+    center: Sequence[int], point: Sequence[int], alpha: float = DEFAULT_ALPHA
+) -> float:
+    """Asymmetric weighted Hamming distance of a center to a point.
+
+    cost = |supp(point) \\ supp(center)| + alpha * |supp(center) \\ supp(point)|
+    """
+    sc, sp = set(center), set(point)
+    return len(sp - sc) + alpha * len(sc - sp)
 
 
 class ScanIndex:
@@ -202,14 +215,21 @@ def copy_states(states: List[CenterState]) -> List[CenterState]:
     return pickle.loads(pickle.dumps(states))
 
 
+def stream_batch(us, lists) -> pa.RecordBatch:
+    """A ``(u, neighbors)`` Arrow batch with Spark's stream types."""
+    return pa.RecordBatch.from_pydict(
+        {"u": pa.array(us, pa.int64()), "neighbors": pa.array(lists, pa.list_(pa.int64()))}
+    )
+
+
 def run_partition(adj, us, params: SofaParams) -> List[CenterState]:
     """``_partition_runner`` on rows ``us``, handed over shuffled in two
-    pandas batches (it orders them by ``u``)."""
+    Arrow batches (it orders them by ``u``)."""
     us = np.random.default_rng(len(us)).permutation(us)
-    pdf = pd.DataFrame({"u": us, "neighbors": [adj[u] for u in us]})
-    half = len(pdf) // 2
-    out = _partition_runner(params)(iter([pdf[:half], pdf[half:]]))
-    return [pickle.loads(b) for df in out for b in df["state"]]
+    half = len(us) // 2
+    batches = [stream_batch(part, [adj[u] for u in part]) for part in (us[:half], us[half:])]
+    out = _partition_runner(params)(iter(batches))
+    return [pickle.loads(b) for batch in out for b in batch.column("state").to_pylist()]
 
 
 def coresets_match(graph, params: SofaParams) -> tuple[bool, List[CenterState]]:

@@ -4,12 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.distance import (
-    CenterIndex,
-    asymmetric_hamming,
-    distance_column,
-    hamming,
-)
+from repro.core.distance import CenterIndex, distance_column, hamming
+
+from .sofa_reference import asymmetric_hamming
 
 supports = st.lists(st.integers(0, 40), max_size=20).map(lambda l: sorted(set(l)))
 

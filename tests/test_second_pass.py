@@ -5,11 +5,12 @@ import pytest
 from repro import synth_data as sd
 from repro.core.second_pass import (
     assign_left_biclustering,
-    assign_left_bmf,
+    assign_left_bmf_fast,
     prune_to_top_k,
-    score,
 )
 from repro.eval.quality import jaccard_quality, labels_to_clusters
+
+from .second_pass_reference import assign_left_bmf, score
 
 
 class TestScore:
@@ -74,42 +75,47 @@ class TestBiclusteringAssignment:
 
 
 class TestBmfAssignment:
+    """§4.2 cover behaviour, on the set-based oracle; the subclass below
+    runs every test again on the array cover in src/."""
+
+    cover = staticmethod(assign_left_bmf)
+
     def test_single_cluster_covers(self):
-        res = assign_left_bmf([[1, 2, 3]], [[1, 2, 3]])
+        res = self.cover([[1, 2, 3]], [[1, 2, 3]])
         assert res.memberships == [[0]]
         assert res.cluster_scores[0] == 3
 
     def test_multi_membership(self):
-        res = assign_left_bmf([[1, 2, 10, 11]], [[1, 2], [10, 11]])
+        res = self.cover([[1, 2, 10, 11]], [[1, 2], [10, 11]])
         assert res.memberships == [[0, 1]]
 
     def test_stops_on_nonpositive_score(self):
         # cluster overcovers more than it covers -> skipped
-        res = assign_left_bmf([[1]], [[1, 2, 3]])
+        res = self.cover([[1]], [[1, 2, 3]])
         assert res.memberships == [[]]
 
     def test_each_cluster_used_at_most_once_per_vertex(self):
-        res = assign_left_bmf([[1, 2, 3, 4]], [[1, 2], [3, 4]])
+        res = self.cover([[1, 2, 3, 4]], [[1, 2], [3, 4]])
         assert sorted(res.memberships[0]) == [0, 1]
         assert len(res.memberships[0]) == len(set(res.memberships[0]))
 
     def test_overcover_tolerated_when_net_positive(self):
         # covers 3 of X, overcovers 1 -> net +2, should be taken
-        res = assign_left_bmf([[1, 2, 3]], [[1, 2, 3, 99]])
+        res = self.cover([[1, 2, 3]], [[1, 2, 3, 99]])
         assert res.memberships == [[0]]
 
     def test_scores_accumulate_across_vertices(self):
-        res = assign_left_bmf([[1, 2]] * 5, [[1, 2]])
+        res = self.cover([[1, 2]] * 5, [[1, 2]])
         assert res.cluster_scores[0] == 10
 
     def test_greedy_order_prefers_higher_score(self):
         # big cluster covers more first; then small adds the rest
         stream = [[1, 2, 3, 4, 10]]
-        res = assign_left_bmf(stream, [[10], [1, 2, 3, 4]])
+        res = self.cover(stream, [[10], [1, 2, 3, 4]])
         assert res.memberships[0] == [0, 1]  # both taken, order-insensitive check
 
     def test_empty_stream(self):
-        res = assign_left_bmf([], [[1]])
+        res = self.cover([], [[1]])
         assert res.memberships == []
         assert res.cluster_scores.tolist() == [0.0]
 
@@ -118,7 +124,7 @@ class TestBmfAssignment:
             n_left=200, n_right=300, k_true=5, r=15, p=0.9,
             memberships_per_left=1.5, background_deg=1.0, seed=2,
         )
-        res = assign_left_bmf(
+        res = self.cover(
             [a.tolist() for a in g.adj],
             [c.tolist() for c in g.right_clusters],
         )
@@ -129,6 +135,10 @@ class TestBmfAssignment:
                 want[int(u)].add(i)
         agree = sum(1 for a, b in zip(got, want) if a == b)
         assert agree / g.n_left > 0.7
+
+
+class TestBmfAssignmentFast(TestBmfAssignment):
+    cover = staticmethod(assign_left_bmf_fast)
 
 
 class TestPruneTopK:

@@ -6,11 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import synth_data as sd
-from repro.core.second_pass import (
-    _BLOCK_ROWS,
-    assign_left_bmf,
-    assign_left_bmf_fast,
-)
+from repro.core.second_pass import _BLOCK_ROWS, assign_left_bmf_fast
+
+from .second_pass_reference import assign_left_bmf
 
 
 def assert_same(fast, ref):

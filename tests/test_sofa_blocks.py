@@ -1,7 +1,6 @@
 """The block-walking SOFA engine against the per-vertex reference
 (tests/sofa_reference.py): full engine state must be identical."""
 import numpy as np
-import pandas as pd
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +25,7 @@ from .sofa_reference import (
     reference_merge,
     reference_pass,
     state_of,
+    stream_batch,
 )
 
 @pytest.mark.parametrize("dataset", DATASET_NAMES)
@@ -177,5 +177,4 @@ class TestDegenerate:
     def test_partition_runner_on_empty_partition(self):
         run = _partition_runner(self.params())
         assert list(run(iter([]))) == []
-        empty = pd.DataFrame({"u": pd.Series(dtype="int64"), "neighbors": []})
-        assert list(run(iter([empty]))) == []
+        assert list(run(iter([stream_batch([], [])]))) == []

@@ -5,7 +5,6 @@ import pytest
 
 from repro import synth_data as sd
 from repro.core.bmf import reconstruction_metrics
-from repro.core.second_pass import assign_left_bmf
 from repro.oracle import assert_equivalent
 from repro.spark.metrics_df import (
     SparkReconstruction,
@@ -13,6 +12,8 @@ from repro.spark.metrics_df import (
     reconstructed_cells_df,
 )
 from repro.spark.second_pass_df import assign_left_bmf_df, clusters_to_df
+
+from .second_pass_reference import assign_left_bmf
 
 
 @pytest.fixture(scope="module")

@@ -1,19 +1,17 @@
-"""Tests for the Spark second pass (§4 as dataflow), oracle-checked
-against DuckDB and against the sequential reference implementation."""
-import pandas as pd
-import pyspark.sql.functions as F
+"""Tests for the Spark second pass (§4.2 as dataflow), oracle-checked
+against DuckDB and against the set-based reference cover."""
 import pytest
 
 from repro import synth_data as sd
-from repro.core.second_pass import assign_left_biclustering, assign_left_bmf
 from repro.oracle import assert_equivalent
 from repro.spark.second_pass_df import (
     assign_left_bmf_df,
-    assign_left_biclustering_df,
     cluster_scores_df,
     clusters_to_df,
     prune_membership_to_top_k,
 )
+
+from .second_pass_reference import assign_left_bmf
 
 
 @pytest.fixture(scope="module")
@@ -52,76 +50,6 @@ class TestClustersToDf:
         df = clusters_to_df(spark, [[1, 2], [], [5]])
         got = {r["cluster"] for r in df.collect()}
         assert got == {0, 2}
-
-
-class TestBiclusteringAssignment:
-    def test_matches_sequential_reference(self, spark, stream, clusters_df, graph, clusters):
-        got = {
-            r["u"]: r["cluster"]
-            for r in assign_left_biclustering_df(stream, clusters_df).collect()
-        }
-        want = assign_left_biclustering([a.tolist() for a in graph.adj], clusters)
-        assert len(got) == graph.n_left
-        mismatch = [u for u in range(graph.n_left) if got[u] != want[u]]
-        assert mismatch == []
-
-    def test_every_vertex_assigned_exactly_once(self, stream, clusters_df, graph):
-        df = assign_left_biclustering_df(stream, clusters_df)
-        assert df.count() == graph.n_left
-        assert df.select("u").distinct().count() == graph.n_left
-
-    def test_overlap_computation_oracle(self, spark, stream, clusters_df, graph, clusters):
-        """The core join+agg of the assignment plan vs DuckDB."""
-        edges = stream.select("u", F.explode("neighbors").alias("v"))
-        overlap = (
-            edges.join(clusters_df, "v")
-            .groupBy("u", "cluster")
-            .agg(F.count("*").alias("ov"))
-        )
-        cpdf = pd.DataFrame(
-            [(i, v) for i, vc in enumerate(clusters) for v in vc],
-            columns=["cluster", "v"],
-        )
-        assert_equivalent(
-            overlap,
-            "SELECT e.u AS u, c.cluster AS cluster, count(*) AS ov "
-            "FROM e JOIN c ON e.v = c.v GROUP BY e.u, c.cluster",
-            e=graph.edge_pandas(),
-            c=cpdf,
-        )
-
-    def test_argmax_rule_oracle(self, spark, stream, clusters_df, graph, clusters):
-        """Full §4.1 argmax in SQL (window fn) vs the Spark plan, for the
-        vertices that have at least one overlap."""
-        got = assign_left_biclustering_df(stream, clusters_df)
-        edges_pdf = graph.edge_pandas()
-        cpdf = pd.DataFrame(
-            [(i, v) for i, vc in enumerate(clusters) for v in vc],
-            columns=["cluster", "v"],
-        )
-        sizes = cpdf.groupby("cluster").size().rename("csize").reset_index()
-        sql = """
-            WITH ov AS (
-                SELECT e.u AS u, c.cluster AS cluster, count(*) AS ov
-                FROM e JOIN c ON e.v = c.v GROUP BY e.u, c.cluster
-            ), ranked AS (
-                SELECT ov.u, ov.cluster,
-                       row_number() OVER (
-                           PARTITION BY ov.u
-                           ORDER BY ov.ov * 1.0 / s.csize DESC, ov.cluster ASC
-                       ) AS rn
-                FROM ov JOIN s ON ov.cluster = s.cluster
-            )
-            SELECT u, cluster FROM ranked WHERE rn = 1
-        """
-        overlapping = got.join(
-            stream.select("u", F.explode("neighbors").alias("v"))
-            .join(clusters_df, "v")
-            .select("u")
-            .distinct(),
-            "u",
-        )
-        assert_equivalent(overlapping, sql, e=edges_pdf, c=cpdf, s=sizes)
 
 
 class TestBmfAssignment:

@@ -14,6 +14,7 @@ from repro.spark.distributed_sofa import (
 )
 from repro.spark.structured import (
     MAX_FILES_PER_TRIGGER,
+    STREAM_SCHEMA,
     sofa_from_stream_dir,
     write_stream_files,
 )
@@ -39,7 +40,7 @@ class TestPartitionCoresets:
         states = collect_partition_coresets(stream, params)
         seq = sofa_pass([a.tolist() for a in planted.adj], params,
                         m_hint=planted.n_left)
-        # mapInPandas m_hint is the partition size = full stream here
+        # the partition runner's m_hint is the partition size = full stream here
         assert len(states) == len(seq.centers)
         for got, want in zip(states, seq.centers):
             assert got.support.tolist() == want.support.tolist()
@@ -47,6 +48,17 @@ class TestPartitionCoresets:
             assert got.sketch.capacity == want.sketch.capacity
             assert got.sketch.counters == want.sketch.counters
             assert got.sketch.total == want.sketch.total
+
+    def test_null_neighbors_push_as_empty(self, spark, planted, params):
+        """A null neighbor list in a partition is pushed as an empty one,
+        as the Structured Streaming feed does."""
+        null_u = planted.n_left // 3
+        assert len(planted.adj[null_u]) > 0
+        stream = [[] if u == null_u else a.tolist() for u, a in enumerate(planted.adj)]
+        rows = [(u, None if u == null_u else nbrs) for u, nbrs in enumerate(stream)]
+        df = spark.createDataFrame(rows, schema=STREAM_SCHEMA).repartition(1)
+        states = collect_partition_coresets(df, params)
+        assert_same_centers(states, sofa_pass(stream, params, m_hint=planted.n_left).centers)
 
     def test_weight_conservation_across_partitions(self, spark, planted, params):
         stream = sd.to_spark_stream(spark, planted, num_partitions=4)
@@ -113,13 +125,19 @@ def _null_neighbors_line(stream_dir: str, file_no: int, line_no: int) -> int:
     return u
 
 
-def assert_same_result(got, want):
-    assert len(got.centers) == len(want.centers)
-    for a, b in zip(got.centers, want.centers):
+def assert_same_centers(got, want):
+    """Support, weight, sketch capacity, MG counters in order and total."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
         assert a.support.tolist() == b.support.tolist()
         assert a.weight == b.weight
+        assert a.sketch.capacity == b.sketch.capacity
         assert list(a.sketch.counters.items()) == list(b.sketch.counters.items())
         assert a.sketch.total == b.sketch.total
+
+
+def assert_same_result(got, want):
+    assert_same_centers(got.centers, want.centers)
     assert got.n_restarts == want.n_restarts
     assert got.final_lb == want.final_lb
     assert got.n_processed == want.n_processed

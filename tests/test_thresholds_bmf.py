@@ -1,4 +1,4 @@
-"""Tests for θ selection (§5.4) and the BMF factor/metrics glue (§2.2)."""
+"""Tests for θ selection (§5.4) and the BMF reconstruction metrics (§2.2)."""
 import math
 
 import numpy as np
@@ -7,12 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import synth_data as sd
-from repro.core.bmf import (
-    BooleanFactors,
-    factors_from_memberships,
-    reconstruction_metrics,
-)
-from repro.core.second_pass import assign_left_bmf
+from repro.core.bmf import reconstruction_metrics
 from repro.core.sofa import SofaParams, sofa_pass
 from repro.core.thresholds import (
     _P_GRID,
@@ -24,6 +19,8 @@ from repro.core.thresholds import (
 )
 from repro.eval.datasets import load_dataset
 from repro.eval.harness import sofa_params_for
+
+from .second_pass_reference import assign_left_bmf
 
 
 def _binom_logpmf(c, w, prob):
@@ -156,26 +153,6 @@ class TestAutoTheta:
         assert LINE_SEARCH_THETAS == (0.3, 0.4, 0.5, 0.6, 0.7)
 
 
-class TestFactors:
-    def test_factors_from_memberships(self):
-        f = factors_from_memberships([[0], [0, 1], []], [[1, 2], [3]], m=3, n=5)
-        assert f.k == 2
-        assert f.left[0].tolist() == [0, 1]
-        assert f.left[1].tolist() == [1]
-        assert f.m == 3 and f.n == 5
-
-    def test_dense_boolean_product(self):
-        f = factors_from_memberships([[0], [1]], [[0, 1], [2]], m=2, n=3)
-        L, R = f.dense()
-        B = (L @ R > 0).astype(int)  # Boolean product == integer product > 0
-        assert B.tolist() == [[1, 1, 0], [0, 0, 1]]
-
-    def test_dense_shapes(self):
-        f = BooleanFactors(left=[np.array([0])], right=[np.array([1])], m=4, n=6)
-        L, R = f.dense()
-        assert L.shape == (4, 1) and R.shape == (1, 6)
-
-
 class TestReconstructionMetrics:
     def test_perfect_reconstruction(self):
         adj = [np.array([1, 2]), np.array([3])]
@@ -207,9 +184,13 @@ class TestReconstructionMetrics:
         B = np.zeros((m_, n_), dtype=int)
         for u, a in enumerate(adj):
             B[u, a] = 1
-        f = factors_from_memberships(res.memberships, clusters, m_, n_)
-        L, R = f.dense()
-        Bt = (L.astype(int) @ R.astype(int) > 0).astype(int)
+        L = np.zeros((m_, len(clusters)), dtype=int)
+        R = np.zeros((len(clusters), n_), dtype=int)
+        for u, mem in enumerate(res.memberships):
+            L[u, mem] = 1
+        for i, vc in enumerate(clusters):
+            R[i, vc] = 1
+        Bt = (L @ R > 0).astype(int)
         ones = B.sum()
         errors = (B != Bt).sum()
         tp = ((B == 1) & (Bt == 1)).sum()
