@@ -2,14 +2,13 @@
 import pytest
 
 from repro.eval.datasets import load_dataset
-from repro.spark.stream_df import dataset_stats
-from repro.synth_data import to_spark_edges
+from repro.spark.stream_df import dataset_stats, edges_from_stream, to_spark_stream
 
 
 @pytest.mark.benchmark(group="table1")
 def test_table1_stats_flickr(benchmark, spark):
     g = load_dataset("flickr")
-    edges = to_spark_edges(spark, g).cache()
+    edges = edges_from_stream(to_spark_stream(spark, g)).cache()
     edges.count()
 
     def run():

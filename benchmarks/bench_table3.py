@@ -11,7 +11,7 @@ from repro.eval.datasets import load_dataset
 from repro.eval.harness import sofa_params_for
 from repro.spark.metrics_df import metrics_summary_df
 from repro.spark.second_pass_df import assign_left_bmf_df, clusters_to_df
-from repro.synth_data import to_spark_edges, to_spark_stream
+from repro.spark.stream_df import edges_from_stream, to_spark_stream
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +50,7 @@ def test_second_pass_recall_spark(benchmark, spark, setup):
     g, clusters = setup
     stream = to_spark_stream(spark, g, num_partitions=8).cache()
     stream.count()
-    edges = to_spark_edges(spark, g).cache()
+    edges = edges_from_stream(stream).cache()
     edges.count()
     cdf = clusters_to_df(spark, clusters).cache()
     cdf.count()

@@ -8,8 +8,7 @@ import os
 
 from repro.eval.datasets import DATASET_NAMES, PAPER_TABLE1, load_dataset
 from repro.eval.tables import write_table
-from repro.spark.stream_df import dataset_stats
-from repro.synth_data import to_spark_edges
+from repro.spark.stream_df import dataset_stats, edges_from_stream, to_spark_stream
 
 
 def main() -> None:
@@ -26,7 +25,8 @@ def main() -> None:
         )
         g = load_dataset(name)
         st = dataset_stats(
-            to_spark_edges(spark, g), n_left=g.n_left, n_right=g.n_right
+            edges_from_stream(to_spark_stream(spark, g)),
+            n_left=g.n_left, n_right=g.n_right,
         )
         lines.append(
             f"| {name} | ours | {st.n_left} | {st.n_right} | {st.n_edges} | "

@@ -37,7 +37,7 @@ import numpy as np
 from repro.core.bmf import reconstruction_metrics
 
 DEFAULT_TAU_GRID = (0.2, 0.4, 0.6, 0.8)  # the paper's basso grid
-DEFAULT_BUDGET_BYTES = 256 * 1024 * 1024  # scaled stand-in for 16 GB
+DEFAULT_BUDGET_BYTES = 512 * 1024 * 1024  # scaled stand-in for the 16 GB workstation
 
 
 class MemoryBudgetExceeded(MemoryError):

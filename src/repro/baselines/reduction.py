@@ -98,15 +98,9 @@ def random_subgraph_clusters(
                 cnt[ci] += 1
         nonempty = cnt > 0
         avg[nonempty] /= cnt[nonempty][:, None]
-        # neighborhood vectors of the leftovers over the sample, built by
-        # one sweep over the sampled adjacency (not per-leftover scans)
-        leftover_pos = {int(v): j for j, v in enumerate(leftovers)}
-        XV = np.zeros((len(leftovers), len(sample)), dtype=np.float64)
-        for i, u in enumerate(sample):
-            for v in adj[int(u)]:
-                j = leftover_pos.get(int(v))
-                if j is not None:
-                    XV[j, i] = 1.0
+        # neighborhood vectors of the leftovers over the sample; C-order
+        # float64, so XV @ avg.T is the same BLAS call (same rounding)
+        XV = np.ascontiguousarray(_subgraph_matrix(adj, sample, leftovers).T, dtype=np.float64)
         # L1 distance of binary x to real a: sum(a) + deg(x) - 2 x·a
         dists = (
             avg.sum(axis=1)[None, :]

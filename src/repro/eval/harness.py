@@ -39,6 +39,7 @@ import numpy as np
 from pyspark.sql import SparkSession
 
 from repro.baselines.asso import (
+    DEFAULT_BUDGET_BYTES as ASSO_BUDGET,
     DEFAULT_TAU_GRID,
     MemoryBudgetExceeded,
     asso_best_tau,
@@ -52,12 +53,12 @@ from repro.core.thresholds import LINE_SEARCH_THETAS, auto_theta_from_groups
 from repro.eval.datasets import load_dataset
 from repro.eval.memory import membership_bytes
 from repro.spark.distributed_sofa import distributed_sofa
-from repro.synth_data import BipartiteGraph, to_spark_stream
+from repro.spark.stream_df import to_spark_stream
+from repro.synth_data import BipartiteGraph
 
 ALGORITHMS = ("sofa-auto", "sofa", "basso", "rs-dhillon", "rs-zha")
 
 RS_SAMPLE = 600              # paper: 15000, scaled with the datasets
-ASSO_BUDGET = 512 * 1024 * 1024  # scaled stand-in for the 16 GB workstation
 SOFA_PARTITIONS = 8
 
 

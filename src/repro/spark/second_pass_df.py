@@ -1,8 +1,10 @@
 """Second pass over the stream as Spark dataflow (paper §4.2).
 
 The BMF greedy cover (§4.2) is embarrassingly parallel over the left
-vertices but iterative per vertex, so it is a mapInPandas operator over
-the stream running the array cover
+vertices but iterative per vertex, so it is a mapInArrow operator over
+the stream: each Arrow batch is decoded by
+:func:`~repro.spark.stream_df.arrival_order` (the first passes'
+decoder, a null list read as empty) and covered by the array cover
 :func:`~repro.core.second_pass.assign_left_bmf_fast`, with the (small,
 O(k s)) cluster table broadcast in the closure; per (u, chosen cluster)
 rows carry the score contribution so cluster totals (needed by §5.3
@@ -17,53 +19,46 @@ from itertools import chain
 from typing import Iterator, Sequence
 
 import numpy as np
-import pandas as pd
+import pyarrow as pa
 import pyspark.sql.functions as F
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.second_pass import assign_left_bmf_fast
+from repro.spark.stream_df import arrival_order
 
 
 def clusters_to_df(spark: SparkSession, right_clusters: Sequence[Sequence[int]]) -> DataFrame:
     """Cluster membership table (cluster BIGINT, v BIGINT). Empty clusters
     contribute no rows."""
-    rows = [
-        (int(i), int(v))
-        for i, vc in enumerate(right_clusters)
-        for v in vc
-    ]
-    return spark.createDataFrame(
-        pd.DataFrame(rows, columns=["cluster", "v"])
-        if rows
-        else pd.DataFrame({"cluster": pd.Series(dtype="int64"), "v": pd.Series(dtype="int64")}),
-        schema="cluster bigint, v bigint",
-    )
+    sizes = np.asarray([len(vc) for vc in right_clusters], dtype=np.int64)
+    table = pa.table({
+        "cluster": np.repeat(np.arange(len(sizes), dtype=np.int64), sizes),
+        "v": np.concatenate([np.empty(0, np.int64), *(np.asarray(vc, np.int64) for vc in right_clusters)]),
+    })
+    return spark.createDataFrame(table, schema="cluster bigint, v bigint")
 
 
 def assign_left_bmf_df(
     stream_df: DataFrame, right_clusters: Sequence[Sequence[int]]
 ) -> DataFrame:
-    """§4.2 as a mapInPandas operator. Returns one row per (u, cluster)
+    """§4.2 as a mapInArrow operator. Returns one row per (u, cluster)
     membership with the score contribution: (u, cluster, sc).
 
     Vertices covered by no cluster emit no rows. Cluster score totals are
     ``result.groupBy("cluster").agg(sum("sc"))``.
     """
-    clusters = [[int(v) for v in vc] for vc in right_clusters]
 
-    def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        for pdf in batches:
-            if pdf.empty:
-                continue
-            res = assign_left_bmf_fast(pdf["neighbors"], clusters)
-            counts = [len(mem) for mem in res.memberships]
-            yield pd.DataFrame({
-                "u": np.repeat(pdf["u"].to_numpy(dtype=np.int64), counts),
+    def run(batches: Iterator[pa.RecordBatch]) -> Iterator[pa.RecordBatch]:
+        for batch in batches:
+            us, lists = arrival_order(pa.Table.from_batches([batch]))
+            res = assign_left_bmf_fast(lists, right_clusters)
+            yield pa.RecordBatch.from_pydict({
+                "u": np.repeat(np.asarray(us, np.int64), [len(m) for m in res.memberships]),
                 "cluster": np.fromiter(chain.from_iterable(res.memberships), np.int64),
                 "sc": np.fromiter(chain.from_iterable(res.choice_scores), np.float64),
             })
 
-    return stream_df.mapInPandas(run, schema="u bigint, cluster bigint, sc double")
+    return stream_df.mapInArrow(run, schema="u bigint, cluster bigint, sc double")
 
 
 def cluster_scores_df(membership_df: DataFrame) -> DataFrame:

@@ -1,39 +1,71 @@
-"""Vertex-stream DataFrames and degree statistics (paper §2.1, Table 1).
+"""The vertex stream's one wire format (paper §2.1) and Table 1 statistics.
 
 The streaming model delivers left vertices one by one with all incident
-edges; in Spark that is a DataFrame with schema
-``(u BIGINT, neighbors ARRAY<BIGINT>)`` whose row order within a
-partition is the arrival order. Helpers here explode the stream into
-an edge list and compute the Table 1 dataset
-statistics (|U|, |V|, |E|, density, mean degree, P99 degree) with pure
-Catalyst expressions — each has a direct SQL equivalent that the tests
-check against DuckDB via the oracle.
-
-Both Spark first passes (partition coresets, Structured Streaming) feed
-a SOFA engine through one Arrow decoder, :func:`push_in_arrival_order`.
+edges; in Spark that is a DataFrame with schema :data:`STREAM_SCHEMA`
+whose row order within a partition is the arrival order. This module
+owns the format: the encoder :func:`to_spark_stream` (one Arrow table)
+and the decoder :func:`arrival_order`, which every Spark operator over
+the stream (both first passes and the §4.2 cover) calls on its Arrow
+input, a null list read as ``[]``. The Table 1 statistics (|U|, |V|,
+|E|, density, mean degree, P99 degree) are pure Catalyst expressions
+over the exploded edge list, each checked against DuckDB via the oracle.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 import pyarrow as pa
 import pyspark.sql.functions as F
-from pyspark.sql import DataFrame
+from pyspark.sql import DataFrame, SparkSession
+
+from repro.synth_data import BipartiteGraph
+
+STREAM_SCHEMA = "u bigint, neighbors array<bigint>"
 
 
-def push_in_arrival_order(engine, table: pa.Table) -> None:
-    """Push a ``(u, neighbors)`` Arrow table into ``engine`` in arrival
-    order: rows sorted by ``u`` (stable), each vertex's neighbors a slice
-    of the table's flattened values cut at the list offsets, a null list
-    pushed as ``[]``. One ``engine.push`` per vertex."""
-    order = np.argsort(table.column("u").to_numpy(), kind="stable")
+def to_spark_stream(
+    spark: SparkSession, graph: BipartiteGraph, *, num_partitions: Optional[int] = None
+) -> DataFrame:
+    """Vertex-stream DataFrame: one row per left vertex, in stream order,
+    with its neighbor array — the unit of arrival in the paper's model.
+    The ``neighbors`` column is one Arrow list array over the
+    concatenated adjacency arrays."""
+    offsets = np.zeros(graph.n_left + 1, dtype=np.int32)
+    np.cumsum(graph.degrees(), out=offsets[1:])
+    values = np.concatenate([np.empty(0, np.int64), *graph.adj])
+    table = pa.table({
+        "u": np.arange(graph.n_left, dtype=np.int64),
+        "neighbors": pa.ListArray.from_arrays(offsets, pa.array(values, pa.int64())),
+    })
+    df = spark.createDataFrame(table, schema=STREAM_SCHEMA)
+    if num_partitions is not None:
+        df = df.repartition(num_partitions, "u")
+    return df
+
+
+def arrival_order(table: pa.Table) -> tuple[list[int], list[list[int]]]:
+    """Decode a ``(u, neighbors)`` Arrow table in arrival order: rows
+    sorted by ``u`` (stable), each vertex's neighbors a slice of the
+    table's flattened values cut at the list offsets, a null list read
+    as ``[]``. Returns the vertex ids and their neighbor lists."""
+    us = table.column("u").to_numpy()
+    order = np.argsort(us, kind="stable").tolist()
     lists = table.column("neighbors").combine_chunks()
     offsets = lists.offsets.to_numpy().tolist()
     values = lists.values.tolist()
     valid = lists.is_valid().to_numpy(zero_copy_only=False).tolist()
-    for i in order.tolist():
-        engine.push(values[offsets[i]:offsets[i + 1]] if valid[i] else [])
+    return us[order].tolist(), [
+        values[offsets[i]:offsets[i + 1]] if valid[i] else [] for i in order
+    ]
+
+
+def push_in_arrival_order(engine, table: pa.Table) -> None:
+    """Push a ``(u, neighbors)`` Arrow table into ``engine`` in
+    :func:`arrival_order`, one ``engine.push`` per vertex."""
+    for nbrs in arrival_order(table)[1]:
+        engine.push(nbrs)
 
 
 def edges_from_stream(stream_df: DataFrame) -> DataFrame:

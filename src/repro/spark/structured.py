@@ -33,10 +33,9 @@ from typing import Optional
 from pyspark.sql import SparkSession
 
 from repro.core.sofa import SofaEngine, SofaParams, SofaResult
-from repro.spark.stream_df import push_in_arrival_order
+from repro.spark.stream_df import STREAM_SCHEMA, push_in_arrival_order
 from repro.synth_data import BipartiteGraph
 
-STREAM_SCHEMA = "u bigint, neighbors array<bigint>"
 # Stream files per micro-batch. Each trigger costs a fixed ~0.15–0.2 s of
 # offset/commit-log writes and source listing (4 vCPU, local[4]), so fewer,
 # larger batches drain a backlog faster: the 47-file wiki stream takes 3

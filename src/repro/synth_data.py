@@ -4,15 +4,13 @@ The paper's evaluation is on bipartite graphs G = (U ∪ V, E), streamed as
 left-side vertices with their incident edges. The generators are pure
 NumPy and deterministic in ``seed`` (the sequential engine consumes them
 directly, and the DuckDB oracle sees identical input);
-``to_spark_edges`` / ``to_spark_stream`` lift them into DataFrames for
-the Spark implementation.
+``repro.spark.stream_df.to_spark_stream`` lifts a graph into the Spark
+vertex stream.
 """
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 import numpy as np
-import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
 
 
 @dataclass
@@ -37,12 +35,6 @@ class BipartiteGraph:
 
     def degrees(self) -> np.ndarray:
         return np.asarray([len(a) for a in self.adj], dtype=np.int64)
-
-    def edge_pandas(self) -> pd.DataFrame:
-        """Edge list as a pandas frame with columns (u, v)."""
-        us = np.repeat(np.arange(self.n_left), self.degrees())
-        vs = np.concatenate(self.adj) if self.n_edges else np.empty(0, np.int64)
-        return pd.DataFrame({"u": us.astype(np.int64), "v": vs.astype(np.int64)})
 
 
 def bipartite_sbm(
@@ -149,23 +141,3 @@ def planted_zipf_bipartite(
         adj.append(nbrs)
     lc = [np.asarray(sorted(c), dtype=np.int64) for c in left_clusters]
     return BipartiteGraph(n_left, n_right, adj, lc, right_clusters)
-
-
-def to_spark_edges(spark: SparkSession, graph: BipartiteGraph) -> DataFrame:
-    """Edge-list DataFrame (u BIGINT, v BIGINT)."""
-    return spark.createDataFrame(graph.edge_pandas())
-
-
-def to_spark_stream(spark: SparkSession, graph: BipartiteGraph, *, num_partitions: Optional[int] = None) -> DataFrame:
-    """Vertex-stream DataFrame: one row per left vertex, in stream order,
-    with its neighbor array — the unit of arrival in the paper's model."""
-    pdf = pd.DataFrame(
-        {
-            "u": np.arange(graph.n_left, dtype=np.int64),
-            "neighbors": [a.tolist() for a in graph.adj],
-        }
-    )
-    df = spark.createDataFrame(pdf, schema="u bigint, neighbors array<bigint>")
-    if num_partitions is not None:
-        df = df.repartition(num_partitions, "u")
-    return df

@@ -12,7 +12,9 @@ from repro.spark.metrics_df import (
     reconstructed_cells_df,
 )
 from repro.spark.second_pass_df import assign_left_bmf_df, clusters_to_df
+from repro.spark.stream_df import edges_from_stream, to_spark_stream
 
+from .oracle_frames import edge_frame
 from .second_pass_reference import assign_left_bmf
 
 
@@ -31,8 +33,8 @@ def clusters(graph):
 
 @pytest.fixture(scope="module")
 def dfs(spark, graph, clusters):
-    stream = sd.to_spark_stream(spark, graph, num_partitions=3).cache()
-    edges = sd.to_spark_edges(spark, graph).cache()
+    stream = to_spark_stream(spark, graph, num_partitions=3).cache()
+    edges = edges_from_stream(stream).cache()
     cdf = clusters_to_df(spark, clusters).cache()
     mdf = assign_left_bmf_df(stream, clusters).cache()
     mdf.count()
@@ -108,4 +110,4 @@ class TestOracle:
                   WHERE NOT EXISTS (SELECT 1 FROM b
                                     WHERE b.u = cells.u AND b.v = cells.v)) AS fp
         """
-        assert_equivalent(summary, sql, e=graph.edge_pandas(), m=mpdf, c=cpdf)
+        assert_equivalent(summary, sql, e=edge_frame(graph), m=mpdf, c=cpdf)

@@ -3,6 +3,7 @@ against DuckDB and against the set-based reference cover."""
 import pytest
 
 from repro import synth_data as sd
+from repro.core.second_pass import assign_left_bmf_fast
 from repro.oracle import assert_equivalent
 from repro.spark.second_pass_df import (
     assign_left_bmf_df,
@@ -10,6 +11,7 @@ from repro.spark.second_pass_df import (
     clusters_to_df,
     prune_membership_to_top_k,
 )
+from repro.spark.stream_df import STREAM_SCHEMA, to_spark_stream
 
 from .second_pass_reference import assign_left_bmf
 
@@ -24,7 +26,7 @@ def graph():
 
 @pytest.fixture(scope="module")
 def stream(spark, graph):
-    return sd.to_spark_stream(spark, graph, num_partitions=4).cache()
+    return to_spark_stream(spark, graph, num_partitions=4).cache()
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +63,20 @@ class TestBmfAssignment:
         want = assign_left_bmf([a.tolist() for a in graph.adj], clusters)
         for u in range(graph.n_left):
             assert sorted(got.get(u, [])) == want.memberships[u]
+
+    def test_null_neighbors_cover_as_empty(self, spark):
+        """A null neighbor list is covered as the empty row, the rule the
+        first passes use."""
+        rows = [(0, [1, 2]), (1, None), (2, [2])]
+        stream = spark.createDataFrame(rows, schema=STREAM_SCHEMA)
+        got = sorted(tuple(r) for r in assign_left_bmf_df(stream, [[1, 2]]).collect())
+        assert got == [(0, 0, 2.0)]
+        want = assign_left_bmf_fast([[1, 2], [], [2]], [[1, 2]])
+        assert got == [
+            (u, c, sc)
+            for u, (mem, scs) in enumerate(zip(want.memberships, want.choice_scores))
+            for c, sc in zip(mem, scs)
+        ]
 
     def test_cluster_scores_match_reference(self, spark, stream, graph, clusters):
         mdf = assign_left_bmf_df(stream, clusters)

@@ -12,9 +12,9 @@ from repro.spark.distributed_sofa import (
     collect_partition_coresets,
     distributed_sofa,
 )
+from repro.spark.stream_df import STREAM_SCHEMA, to_spark_stream
 from repro.spark.structured import (
     MAX_FILES_PER_TRIGGER,
-    STREAM_SCHEMA,
     sofa_from_stream_dir,
     write_stream_files,
 )
@@ -36,7 +36,7 @@ class TestPartitionCoresets:
     def test_single_partition_equals_sequential(self, spark, planted, params):
         """With one partition the coreset is exactly the sequential
         engine's center set (same order, same seed)."""
-        stream = sd.to_spark_stream(spark, planted, num_partitions=1)
+        stream = to_spark_stream(spark, planted, num_partitions=1)
         states = collect_partition_coresets(stream, params)
         seq = sofa_pass([a.tolist() for a in planted.adj], params,
                         m_hint=planted.n_left)
@@ -61,18 +61,18 @@ class TestPartitionCoresets:
         assert_same_centers(states, sofa_pass(stream, params, m_hint=planted.n_left).centers)
 
     def test_weight_conservation_across_partitions(self, spark, planted, params):
-        stream = sd.to_spark_stream(spark, planted, num_partitions=4)
+        stream = to_spark_stream(spark, planted, num_partitions=4)
         states = collect_partition_coresets(stream, params)
         assert sum(s.weight for s in states) == pytest.approx(planted.n_left)
 
     def test_coreset_size_bounded(self, spark, planted, params):
         n_parts = 4
-        stream = sd.to_spark_stream(spark, planted, num_partitions=n_parts)
+        stream = to_spark_stream(spark, planted, num_partitions=n_parts)
         states = collect_partition_coresets(stream, params)
         assert len(states) <= n_parts * params.c_max
 
     def test_sketch_capacity_respected(self, spark, planted, params):
-        stream = sd.to_spark_stream(spark, planted, num_partitions=4)
+        stream = to_spark_stream(spark, planted, num_partitions=4)
         states = collect_partition_coresets(stream, params)
         for s in states:
             assert len(s.sketch.counters) <= params.mg_capacity
@@ -81,18 +81,18 @@ class TestPartitionCoresets:
 class TestDistributedSofa:
     @pytest.mark.parametrize("n_parts", [1, 2, 4])
     def test_recovery_quality(self, spark, planted, params, n_parts):
-        stream = sd.to_spark_stream(spark, planted, num_partitions=n_parts)
+        stream = to_spark_stream(spark, planted, num_partitions=n_parts)
         res = distributed_sofa(stream, params, m_hint=planted.n_left)
         q = jaccard_quality(planted.right_clusters, res.right_clusters(0.5))
         assert q > 0.7, f"n_parts={n_parts} quality={q}"
 
     def test_total_weight_preserved(self, spark, planted, params):
-        stream = sd.to_spark_stream(spark, planted, num_partitions=4)
+        stream = to_spark_stream(spark, planted, num_partitions=4)
         res = distributed_sofa(stream, params)
         assert sum(c.weight for c in res.centers) == pytest.approx(planted.n_left)
 
     def test_groups_nonempty(self, spark, planted, params):
-        stream = sd.to_spark_stream(spark, planted, num_partitions=2)
+        stream = to_spark_stream(spark, planted, num_partitions=2)
         res = distributed_sofa(stream, params)
         assert 1 <= len(res.groups) <= params.c_max
 

@@ -9,7 +9,10 @@ from repro.spark.stream_df import (
     dataset_stats,
     degree_df,
     edges_from_stream,
+    to_spark_stream,
 )
+
+from .oracle_frames import edge_frame
 
 
 @pytest.fixture(scope="module")
@@ -20,7 +23,7 @@ def graph():
 
 @pytest.fixture(scope="module")
 def stream(spark, graph):
-    return sd.to_spark_stream(spark, graph).cache()
+    return to_spark_stream(spark, graph).cache()
 
 
 @pytest.fixture(scope="module")
@@ -36,19 +39,19 @@ class TestConversions:
         assert_equivalent(
             edges.groupBy("u").agg(F.count("*").alias("deg")),
             "SELECT u, count(*) AS deg FROM e GROUP BY u",
-            e=graph.edge_pandas(),
+            e=edge_frame(graph),
         )
 
     def test_roundtrip_stream_edges_stream(self, spark, stream, edges, graph):
         got = sorted((r["u"], r["v"]) for r in edges.collect())
-        want = sorted(graph.edge_pandas().itertuples(index=False, name=None))
+        want = sorted(edge_frame(graph).itertuples(index=False, name=None))
         assert got == want
 
     def test_degree_df_oracle(self, edges, graph):
         assert_equivalent(
             degree_df(edges),
             "SELECT u, count(*) AS degree FROM e GROUP BY u",
-            e=graph.edge_pandas(),
+            e=edge_frame(graph),
         )
 
 
@@ -71,7 +74,7 @@ class TestDatasetStats:
         assert_equivalent(
             got,
             "SELECT count(DISTINCT u) AS nu, count(DISTINCT v) AS nv, count(*) AS ne FROM e",
-            e=graph.edge_pandas(),
+            e=edge_frame(graph),
         )
 
     def test_p99_close_to_numpy_percentile(self, edges, graph):

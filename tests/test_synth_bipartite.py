@@ -3,6 +3,9 @@ import numpy as np
 import pytest
 
 from repro import synth_data as sd
+from repro.spark.stream_df import edges_from_stream, to_spark_stream
+
+from .oracle_frames import edge_frame
 
 
 class TestBipartiteSBM:
@@ -51,11 +54,14 @@ class TestBipartiteSBM:
         for a in graph.adj:
             assert np.all(np.diff(a) > 0) or len(a) <= 1
 
-    def test_edge_pandas_roundtrip(self, graph):
-        pdf = graph.edge_pandas()
+    def test_edge_frame_roundtrip(self, graph):
+        pdf = edge_frame(graph)
         assert len(pdf) == graph.n_edges
         assert pdf["u"].between(0, 149).all()
         assert pdf["v"].between(0, 399).all()
+        assert sorted(pdf.itertuples(index=False, name=None)) == [
+            (u, int(v)) for u, a in enumerate(graph.adj) for v in a
+        ]
 
     def test_noise_q_helper(self):
         q = sd.noise_q_for_expected_degree(20, 8000, 30)
@@ -113,19 +119,19 @@ class TestPlantedZipf:
 class TestSparkLifting:
     def test_to_spark_edges(self, spark):
         g = sd.bipartite_sbm(k=2, ell=10, n_right=60, r=8, p=0.8, q=0.02, seed=0)
-        df = sd.to_spark_edges(spark, g)
+        df = edges_from_stream(to_spark_stream(spark, g))
         assert df.count() == g.n_edges
         assert set(df.columns) == {"u", "v"}
 
     def test_to_spark_stream(self, spark):
         g = sd.bipartite_sbm(k=2, ell=10, n_right=60, r=8, p=0.8, q=0.02, seed=0)
-        df = sd.to_spark_stream(spark, g)
+        df = to_spark_stream(spark, g)
         rows = {r["u"]: sorted(r["neighbors"]) for r in df.collect()}
         assert len(rows) == g.n_left
         assert rows[0] == g.adj[0].tolist()
 
     def test_to_spark_stream_partitioned(self, spark):
         g = sd.bipartite_sbm(k=2, ell=20, n_right=60, r=8, p=0.8, q=0.02, seed=0)
-        df = sd.to_spark_stream(spark, g, num_partitions=4)
+        df = to_spark_stream(spark, g, num_partitions=4)
         assert df.rdd.getNumPartitions() == 4
         assert df.count() == g.n_left
