@@ -11,10 +11,12 @@ Two variants, matching the paper:
   (§5.3 uses them to prune down to the k best clusters when the
   k-Medians postprocessing step was skipped).
 
-The cover here is the array form, :func:`assign_left_bmf_fast`; the
-set-based pseudocode version it must match exactly is the test oracle in
-``tests/second_pass_reference.py``. ``repro.spark.second_pass_df`` runs
-the same cover inside each partition of the stream.
+The cover here is the array form, :func:`assign_left_bmf_fast`, which
+covers a block of rows in rounds (each active row picks once per round);
+the set-based pseudocode version it must match exactly is the test
+oracle in ``tests/second_pass_reference.py``.
+``repro.spark.second_pass_df`` runs the same cover inside each partition
+of the stream.
 """
 from __future__ import annotations
 
@@ -76,7 +78,7 @@ def prune_to_top_k(
     return kept, [int(i) for i in order]
 
 
-_BLOCK_ROWS = 1024  # left vertices whose initial overlaps are counted at once
+_BLOCK_ROWS = 1024  # left vertices whose covers are computed together
 
 
 def _gather(ptr: np.ndarray, post: np.ndarray, keys: np.ndarray):
@@ -88,6 +90,15 @@ def _gather(ptr: np.ndarray, post: np.ndarray, keys: np.ndarray):
     return post[idx], cnt
 
 
+def _in_sorted(table: np.ndarray, codes: np.ndarray):
+    """Positions of ``codes`` in the sorted ``table`` and whether each is
+    there."""
+    at = np.searchsorted(table, codes)
+    found = at < len(table)
+    found[found] = table[at[found]] == codes[found]
+    return at, found
+
+
 def assign_left_bmf_fast(
     stream: Iterable[Sequence[int]],
     right_clusters: Sequence[Sequence[int]],
@@ -97,74 +108,82 @@ def assign_left_bmf_fast(
     output, exactly).
 
     Right ids that lie in some cluster are numbered by rank ("keys"); a
-    CSR index maps each key to the clusters containing it. Per vertex,
-    with X = Γ(u) and Y the union of the clusters chosen so far, the
-    dense array ``s`` holds score(V_c | X, Y) = A_c - B_c for every
-    cluster c, with A_c = |V_c ∩ (X \\ Y)| and B_c = |V_c \\ (X ∪ Y)|.
-    Initially s = 2|V_c ∩ X| - |V_c|, from one ``bincount`` over the
-    (row, cluster) postings of a block of rows; rows whose best initial
-    score is <= 0 choose nothing. Choosing cluster j moves V_j \\ Y into
-    Y: a moved key in X lowers A_c (s -= 1), any other lowers B_c
-    (s += 1), for every cluster c holding it. A chosen cluster is then
-    at score 0 and is never picked again. ``argmax`` takes the first
-    maximum, i.e. the lowest cluster id: the reference's tie-break.
-    Memory is O(block * k + Σ|V_c|).
+    CSR index maps each key to the clusters containing it. The rows of a
+    block of ``_BLOCK_ROWS`` vertices are covered together. With X = Γ(u)
+    and Y the union of the clusters u chose so far, row i of the array
+    ``S`` holds score(V_c | X, Y) = A_c - B_c of the i-th active row for
+    every cluster c, with A_c = |V_c ∩ (X \\ Y)| and
+    B_c = |V_c \\ (X ∪ Y)| (small integers, exact as float64). Initially
+    S = 2|V_c ∩ X| - |V_c|, from one ``bincount`` over the block's
+    (row, cluster) postings. Then, in rounds, every active row picks its
+    ``argmax`` (the first maximum, i.e. the lowest cluster id: the
+    reference's tie-break), and rows whose pick scores <= 0 leave (their
+    rows of ``S`` are dropped). Picking cluster j moves V_j \\ Y into Y:
+    a moved key in X lowers A_c (-1), any other lowers B_c (+1), for
+    every cluster c holding it; one ``bincount`` of these ±1 over
+    (active row, cluster) updates S. A picked cluster is then at score 0
+    and is never picked again. X and Y are sorted ``row * |keys| + key``
+    codes, so memory is O(block * k + Σ|V_c| + Σ|Γ(u)|) per block.
     """
     k = len(right_clusters)
     members = [np.unique(np.asarray(vc, dtype=np.int64)) for vc in right_clusters]
     sizes = np.asarray([len(m) for m in members], dtype=np.int64)
     flat = np.concatenate(members) if k else np.empty(0, dtype=np.int64)
     keys, key_of = np.unique(flat, return_inverse=True)
+    nkeys = max(len(keys), 1)
     order = np.argsort(key_of, kind="stable")
     post = np.repeat(np.arange(k), sizes)[order]  # clusters of each key, ascending
     ptr = np.searchsorted(key_of[order], np.arange(len(keys) + 1))
-    cluster_keys = np.split(key_of, np.cumsum(sizes)[:-1]) if k else []
-    in_x = np.zeros(len(keys), dtype=bool)
-    in_y = np.zeros(len(keys), dtype=bool)
+    cptr = np.concatenate([[0], np.cumsum(sizes)])  # keys of cluster c: key_of[cptr[c]:cptr[c+1]]
 
     totals = np.zeros(k, dtype=np.float64)
     memberships: List[List[int]] = []
     choice_scores: List[List[float]] = []
     rows_iter = iter(stream)
     while rows := list(islice(rows_iter, _BLOCK_ROWS)):
-        nb, base = len(rows), len(memberships)
+        nb = len(rows)
         ids = [np.asarray(r, dtype=np.int64) for r in rows]
         vals = np.concatenate(ids)
         row = np.repeat(np.arange(nb), [len(a) for a in ids])
         pos = np.searchsorted(keys, vals)
         hit = pos < len(keys)
         hit[hit] = keys[pos[hit]] == vals[hit]
-        # distinct (row, key) pairs, sorted by row then key
-        pair = np.unique(row[hit] * len(keys) + pos[hit])
-        prow, pkey = np.divmod(pair, max(len(keys), 1))
+        x = np.unique(row[hit] * nkeys + pos[hit])  # X as sorted codes
+        prow, pkey = np.divmod(x, nkeys)
         pclusters, pcnt = _gather(ptr, post, pkey)
         overlap = np.bincount(np.repeat(prow, pcnt) * k + pclusters, minlength=nb * k)
-        start = 2 * overlap.reshape(nb, k) - sizes
-        bounds = np.searchsorted(prow, np.arange(nb + 1))
-        memberships += [[] for _ in range(nb)]
-        choice_scores += [[] for _ in range(nb)]
-        for r in np.flatnonzero(start.max(axis=1, initial=0) > 0):
-            x = pkey[bounds[r]:bounds[r + 1]]
-            in_x[x] = True
-            s = start[r].copy()
-            chosen = []
-            while True:
-                j = int(s.argmax())
-                sj = int(s[j])
-                if sj <= 0:
+        S = (2 * overlap.reshape(nb, k) - sizes).astype(np.float64)
+        act = np.flatnonzero(S.max(axis=1, initial=0) > 0)
+        S = S[act]  # row i holds the scores of block row act[i]
+        y = np.empty(0, dtype=np.int64)
+        picked = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))]
+        while len(act):
+            j = S.argmax(axis=1)
+            sj = S[np.arange(len(act)), j]
+            if not (keep := sj > 0).all():
+                act, j, sj, S = act[keep], j[keep], sj[keep], S[keep]
+                if not len(act):
                     break
-                chosen.append((j, sj))
-                totals[j] += sj
-                moved = cluster_keys[j][~in_y[cluster_keys[j]]]
-                in_y[moved] = True
-                # postings of moved keys in X count at c, the others at k + c
-                moved_c, cnt = _gather(ptr, post, moved)
-                d = np.bincount(moved_c + k * np.repeat(~in_x[moved], cnt), minlength=2 * k)
-                s += d[k:] - d[:k]
-            in_x[x] = False
-            for j, _ in chosen:
-                in_y[cluster_keys[j]] = False
-            chosen.sort()
-            memberships[base + r] = [j for j, _ in chosen]
-            choice_scores[base + r] = [float(sj) for _, sj in chosen]
+            picked.append((act, j, sj))
+            ck, cnt = _gather(cptr, key_of, j)
+            local = np.repeat(np.arange(len(act)), cnt)
+            code = act[local] * nkeys + ck
+            at, in_y = _in_sorted(y, code)
+            y = np.insert(y, at[~in_y], code[~in_y])  # codes ascend, so y stays sorted
+            local, moved = local[~in_y], ck[~in_y]
+            in_x = _in_sorted(x, code[~in_y])[1]
+            moved_c, mcnt = _gather(ptr, post, moved)
+            S += np.bincount(
+                np.repeat(local, mcnt) * k + moved_c,
+                weights=np.repeat(np.where(in_x, -1.0, 1.0), mcnt),
+                minlength=len(act) * k,
+            ).reshape(len(act), k)
+        pr, pc, ps = (np.concatenate(a) for a in zip(*picked))
+        o = np.lexsort((pc, pr))
+        pr, pc, ps = pr[o], pc[o], ps[o]
+        totals += np.bincount(pc, weights=ps, minlength=k)
+        cut = np.searchsorted(pr, np.arange(nb + 1)).tolist()
+        cl, sc = pc.tolist(), ps.tolist()
+        memberships += [cl[a:b] for a, b in zip(cut, cut[1:])]
+        choice_scores += [sc[a:b] for a, b in zip(cut, cut[1:])]
     return BmfAssignment(memberships, totals, choice_scores)

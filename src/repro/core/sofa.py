@@ -117,7 +117,8 @@ class SofaResult:
 
 
 def _as_support(nbrs: Sequence[int]) -> np.ndarray:
-    return np.asarray(sorted(set(int(v) for v in nbrs)), dtype=np.int64)
+    # a set of Python ints beats np.unique on rows of a few dozen ids
+    return np.array(sorted(set(nbrs)), dtype=np.int64)
 
 
 class SofaEngine:
@@ -150,8 +151,12 @@ class SofaEngine:
     def push(self, nbrs: Sequence[int]) -> None:
         """Feed the next fresh vertex (weight 1, sketch = its own edges)."""
         sup = _as_support(nbrs)
+        ids = sup.tolist()
         sk = MisraGries(self.params.mg_capacity)
-        sk.add_all(sup.tolist())
+        if len(ids) <= sk.capacity:  # no decrement: every id gets a counter of 1
+            sk.counters, sk.total = dict.fromkeys(ids, 1.0), float(len(ids))
+        else:
+            sk.add_all(ids)
         self.push_state(CenterState(sup, 1.0, sk))
 
     def push_state(self, state: CenterState) -> None:
@@ -267,10 +272,11 @@ def _postprocess(centers: List[CenterState], params: SofaParams) -> List[Cluster
             weights=[c.weight for c in centers],
             seed=params.seed,
         )
-    n_groups = max(labels) + 1
+    by_group: List[List[int]] = [[] for _ in range(max(labels) + 1)]
+    for i, gi in enumerate(labels):
+        by_group[gi].append(i)
     groups: List[ClusterGroup] = []
-    for gi in range(n_groups):
-        members = [i for i, l in enumerate(labels) if l == gi]
+    for members in by_group:
         sk = centers[members[0]].sketch.copy()
         for i in members[1:]:
             sk.merge(centers[i].sketch)

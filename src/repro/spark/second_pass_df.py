@@ -21,7 +21,7 @@ from typing import Iterator, Sequence
 import numpy as np
 import pyarrow as pa
 import pyspark.sql.functions as F
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import DataFrame, SparkSession, Window
 
 from repro.core.second_pass import assign_left_bmf_fast
 from repro.spark.stream_df import arrival_order
@@ -68,11 +68,18 @@ def cluster_scores_df(membership_df: DataFrame) -> DataFrame:
 
 def prune_membership_to_top_k(membership_df: DataFrame, k: int) -> DataFrame:
     """§5.3: keep memberships of the k clusters with the highest total
-    score (stable: ties broken by lower cluster id)."""
-    top = (
-        cluster_scores_df(membership_df)
-        .orderBy(F.desc("total_score"), F.asc("cluster"))
-        .limit(k)
-        .select("cluster")
+    score (stable: ties broken by lower cluster id).
+
+    One scan of ``membership_df``: the totals are a window sum, so the
+    cover upstream runs once (a join of the totals back onto the
+    memberships would run it twice). Sums of the integer-valued ``sc``
+    are exact in any order, and ``dense_rank`` gives all rows of one
+    cluster the same rank."""
+    total = F.sum("sc").over(Window.partitionBy("cluster"))
+    rank = F.dense_rank().over(Window.orderBy(F.desc("total_score"), F.asc("cluster")))
+    return (
+        membership_df.withColumn("total_score", total)
+        .withColumn("rank", rank)
+        .where(F.col("rank") <= k)
+        .select("u", "cluster", "sc")
     )
-    return membership_df.join(top, "cluster").select("u", "cluster", "sc")

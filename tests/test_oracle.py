@@ -3,7 +3,7 @@ import pandas as pd
 import pyspark.sql.functions as F
 import pytest
 
-from repro.oracle import assert_equivalent
+from .oracle import assert_equivalent
 
 
 class TestOracle:

@@ -7,6 +7,10 @@ from hypothesis import strategies as st
 
 from repro import synth_data as sd
 from repro.core.second_pass import _BLOCK_ROWS, assign_left_bmf_fast
+from repro.core.sofa import sofa_pass
+from repro.core.thresholds import LINE_SEARCH_THETAS
+from repro.eval.datasets import DATASET_NAMES, K_GRID, load_dataset
+from repro.eval.harness import sofa_params_for
 
 from .second_pass_reference import assign_left_bmf
 
@@ -57,6 +61,17 @@ class TestBmfEquivalence:
         assert fast.memberships == []
         fast2 = assign_left_bmf_fast([[1]], [])
         assert fast2.memberships == [[]]
+
+    def test_empty_clusters_rows_and_no_clusters(self):
+        stream = [[], [1, 2, 3], [], [3, 4]]
+        clusters = [[], [1, 2, 3], [], [3, 4, 5]]
+        fast = assign_left_bmf_fast(stream, clusters)
+        assert_same(fast, assign_left_bmf(stream, clusters))
+        assert fast.memberships == [[], [1], [], [3]]
+        assert fast.choice_scores == [[], [3.0], [], [1.0]]
+        none = assign_left_bmf_fast(stream, [])
+        assert_same(none, assign_left_bmf(stream, []))
+        assert none.memberships == [[]] * 4 and none.cluster_scores.shape == (0,)
 
     def test_duplicate_ids_in_rows_and_clusters(self):
         stream = [[1, 1, 2, 3, 3, 3], [5, 5], [7, 1, 7]]
@@ -114,3 +129,22 @@ class TestBmfEquivalence:
         ref = assign_left_bmf(stream, clusters)
         assert fast.memberships == ref.memberships
         assert np.allclose(fast.cluster_scores, ref.cluster_scores)
+
+
+@pytest.mark.parametrize("dataset", DATASET_NAMES)
+def test_standin_line_search_covers_match_reference(dataset):
+    """The line search's covers on a stand-in: the BMF first pass's
+    candidate clusters at every grid k and line-search θ, over every
+    ``n/48``-th row (rows are covered independently, so a sample is a
+    fair check; the set reference is too slow for whole streams)."""
+    g = load_dataset(dataset)
+    rows = [a.tolist() for a in g.adj[::g.n_left // 48]]
+    most_picks = 0
+    for k in K_GRID:
+        res = sofa_pass([a.tolist() for a in g.adj], sofa_params_for(g, k), m_hint=g.n_left)
+        for theta in LINE_SEARCH_THETAS:
+            clusters = [gr.right_cluster(theta).tolist() for gr in res.groups]
+            fast = assign_left_bmf_fast(rows, clusters)
+            assert_same(fast, assign_left_bmf(rows, clusters))
+            most_picks = max(most_picks, *map(len, fast.memberships))
+    assert most_picks >= 2

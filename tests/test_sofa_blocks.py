@@ -1,6 +1,9 @@
 """The block-walking SOFA engine against the per-vertex reference
 (tests/sofa_reference.py): full engine state must be identical."""
+import pickle
+
 import numpy as np
+import pyarrow as pa
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,10 +23,12 @@ from repro.spark.distributed_sofa import _partition_runner
 
 from .sofa_reference import (
     ReferenceEngine,
+    centers_of,
     coresets_match,
     copy_states,
     reference_merge,
     reference_pass,
+    run_partition,
     state_of,
     stream_batch,
 )
@@ -51,6 +56,31 @@ def test_standin_coresets_and_merge_match_reference(dataset):
     want = reference_merge(copy_states(states), params, m_hint=g.n_left)
     assert want.n_restarts > 0
     assert state_of(got) == state_of(want)
+
+
+def test_partition_runner_splits_tagged_partitions():
+    """Two logical partitions in one task's input, their vertices
+    interleaved in ``u`` and one batch spanning the boundary: the runner
+    emits each partition's own single-partition run, in tag order."""
+    g = load_dataset("movie")
+    params = sofa_params_for(g, min(K_GRID))
+    us = np.arange(g.n_left)
+    tags = (us % 2).astype(np.int32)
+    order = np.argsort(tags, kind="stable")  # partition 0's rows, then 1's
+    cuts = [0, g.n_left // 4, 3 * g.n_left // 4, g.n_left]
+    batches = [
+        pa.RecordBatch.from_pydict({
+            "u": pa.array(us[order[lo:hi]], pa.int64()),
+            "neighbors": pa.array([g.adj[u] for u in us[order[lo:hi]]], pa.list_(pa.int64())),
+            "part": pa.array(tags[order[lo:hi]], pa.int32()),
+        })
+        for lo, hi in zip(cuts, cuts[1:])
+    ]
+    out = list(_partition_runner(params)(iter(batches)))
+    assert [set(b.column("part").to_pylist()) for b in out] == [{0}, {1}]
+    for part, batch in enumerate(out):
+        got = [pickle.loads(b) for b in batch.column("state").to_pylist()]
+        assert centers_of(got) == centers_of(run_partition(g.adj, us[part::2], params))
 
 
 def test_flickr_paper_k_matches_reference():

@@ -5,7 +5,7 @@ import pytest
 
 from repro import synth_data as sd
 from repro.core.bmf import reconstruction_metrics
-from repro.oracle import assert_equivalent
+from .oracle import assert_equivalent
 from repro.spark.metrics_df import (
     SparkReconstruction,
     metrics_summary_df,

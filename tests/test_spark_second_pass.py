@@ -4,7 +4,7 @@ import pytest
 
 from repro import synth_data as sd
 from repro.core.second_pass import assign_left_bmf_fast
-from repro.oracle import assert_equivalent
+from .oracle import assert_equivalent
 from repro.spark.second_pass_df import (
     assign_left_bmf_df,
     cluster_scores_df,
@@ -96,6 +96,16 @@ class TestBmfAssignment:
             "SELECT cluster, sum(sc) AS total_score FROM m GROUP BY cluster",
             m=mpdf,
         )
+
+    def test_prune_runs_the_cover_once(self, spark, graph, clusters):
+        """The pruned plan holds one Python cover operator: the cluster
+        totals do not re-read the memberships. (An uncached stream, so
+        the plan shows the cover itself.)"""
+        rows = [(u, a.tolist()) for u, a in enumerate(graph.adj)]
+        stream = spark.createDataFrame(rows, schema=STREAM_SCHEMA)
+        pruned = prune_membership_to_top_k(assign_left_bmf_df(stream, clusters), 2)
+        plan = pruned._jdf.queryExecution().executedPlan().toString()
+        assert plan.count("MapInArrow") == 1
 
     def test_prune_to_top_k(self, spark, stream, clusters):
         mdf = assign_left_bmf_df(stream, clusters).cache()

@@ -3,8 +3,11 @@ import json
 import os
 
 import numpy as np
+import pyspark.sql.functions as F
 import pytest
+from pyspark import AccumulatorParam, TaskContext
 
+import repro.spark.distributed_sofa as dsofa
 from repro import synth_data as sd
 from repro.core.sofa import SofaParams, sofa_pass
 from repro.eval.quality import jaccard_quality
@@ -59,6 +62,43 @@ class TestPartitionCoresets:
         df = spark.createDataFrame(rows, schema=STREAM_SCHEMA).repartition(1)
         states = collect_partition_coresets(df, params)
         assert_same_centers(states, sofa_pass(stream, params, m_hint=planted.n_left).centers)
+
+    def test_partitions_share_python_tasks(self, spark, planted, params, monkeypatch):
+        """A stream with twice as many partitions as core slots (8 on 4
+        cores) runs in at most ``defaultParallelism`` Python tasks and
+        still yields the single-partition coresets, in partition order."""
+
+        class TaskIds(AccumulatorParam):
+            def zero(self, value):
+                return set()
+
+            def addInPlace(self, a, b):
+                return a | b
+
+        tasks = spark.sparkContext.accumulator(set(), TaskIds())
+        runner = dsofa._partition_runner
+
+        def probe(p):
+            run = runner(p)
+
+            def probed(batches):
+                tasks.add({TaskContext.get().partitionId()})
+                return run(batches)
+
+            return probed
+
+        monkeypatch.setattr(dsofa, "_partition_runner", probe)
+        slots = spark.sparkContext.defaultParallelism
+        stream = to_spark_stream(spark, planted, num_partitions=2 * slots)
+        states = collect_partition_coresets(stream, params)
+        part_of = dict(stream.select("u", F.spark_partition_id().alias("p")).collect())
+        want = []
+        for p in range(2 * slots):
+            us = sorted(u for u, q in part_of.items() if q == p)
+            assert us
+            want += sofa_pass([planted.adj[u].tolist() for u in us], params, m_hint=len(us)).centers
+        assert_same_centers(states, want)
+        assert 1 <= len(tasks.value) <= slots
 
     def test_weight_conservation_across_partitions(self, spark, planted, params):
         stream = to_spark_stream(spark, planted, num_partitions=4)

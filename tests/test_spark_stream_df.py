@@ -4,7 +4,7 @@ import pyspark.sql.functions as F
 import pytest
 
 from repro import synth_data as sd
-from repro.oracle import assert_equivalent
+from .oracle import assert_equivalent
 from repro.spark.stream_df import (
     dataset_stats,
     degree_df,
