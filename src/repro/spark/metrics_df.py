@@ -40,18 +40,17 @@ def metrics_summary_df(
     edges_df: DataFrame, membership_df: DataFrame, clusters_df: DataFrame
 ) -> DataFrame:
     """Single-row DataFrame (ones, tp, fp): the counters of
-    :class:`SparkReconstruction` from one Catalyst plan and one collect."""
+    :class:`SparkReconstruction` from one Catalyst plan and one collect;
+    zeros when there are neither edges nor reconstructed cells."""
     cells = reconstructed_cells_df(membership_df, clusters_df)
     edges = edges_df.select("u", "v").distinct()
     both = edges.withColumn("in_b", F.lit(1)).join(
         cells.withColumn("in_bt", F.lit(1)), ["u", "v"], "full_outer"
     )
+    in_b, in_bt = F.coalesce("in_b", F.lit(0)), F.coalesce("in_bt", F.lit(0))
+    # coalesce: the sum over no rows (an edgeless, uncovered stream) is null
     return both.agg(
-        F.sum(F.coalesce("in_b", F.lit(0))).alias("ones"),
-        F.sum(
-            F.coalesce("in_b", F.lit(0)) * F.coalesce("in_bt", F.lit(0))
-        ).alias("tp"),
-        F.sum(
-            (F.lit(1) - F.coalesce("in_b", F.lit(0))) * F.coalesce("in_bt", F.lit(0))
-        ).alias("fp"),
+        F.coalesce(F.sum(in_b), F.lit(0)).alias("ones"),
+        F.coalesce(F.sum(in_b * in_bt), F.lit(0)).alias("tp"),
+        F.coalesce(F.sum((F.lit(1) - in_b) * in_bt), F.lit(0)).alias("fp"),
     )

@@ -24,7 +24,7 @@ import pyspark.sql.functions as F
 from pyspark.sql import DataFrame, SparkSession, Window
 
 from repro.core.second_pass import assign_left_bmf_fast
-from repro.spark.stream_df import arrival_order
+from repro.spark.stream_df import arrival_order, keep_zip_directories
 
 
 def clusters_to_df(spark: SparkSession, right_clusters: Sequence[Sequence[int]]) -> DataFrame:
@@ -49,6 +49,7 @@ def assign_left_bmf_df(
     """
 
     def run(batches: Iterator[pa.RecordBatch]) -> Iterator[pa.RecordBatch]:
+        keep_zip_directories()
         for batch in batches:
             us, lists = arrival_order(pa.Table.from_batches([batch]))
             res = assign_left_bmf_fast(lists, right_clusters)

@@ -9,9 +9,15 @@ the stream (both first passes and the §4.2 cover) calls on its Arrow
 input, a null list read as ``[]``. The Table 1 statistics (|U|, |V|,
 |E|, density, mean degree, P99 degree) are pure Catalyst expressions
 over the exploded edge list, each checked against DuckDB via the oracle.
+
+Every ``mapInArrow`` body first calls :func:`keep_zip_directories`, so a
+reused Python worker stops re-reading its zip archives on every task.
 """
 from __future__ import annotations
 
+import os
+import sys
+import zipimport
 from dataclasses import dataclass
 from typing import Optional
 
@@ -59,6 +65,39 @@ def arrival_order(table: pa.Table) -> tuple[list[int], list[list[int]]]:
     return us[order].tolist(), [
         values[offsets[i]:offsets[i + 1]] if valid[i] else [] for i in order
     ]
+
+
+def keep_zip_directories() -> None:
+    """Stop ``importlib.invalidate_caches()`` from re-reading unchanged
+    zip archives in this process.
+
+    PySpark calls ``invalidate_caches()`` once per task. Before Python
+    3.13 each ``zipimporter`` then re-reads its archive's whole directory,
+    and a worker's ``sys.path`` holds ``pyspark.zip``, the py4j zip and
+    the Spark core jar (thousands of entries each), so a task's start
+    costs more than its work. The replacement re-reads an archive only
+    when its ``(st_mtime_ns, st_size)`` changed since that importer last
+    read it, and falls back to the original method when ``os.stat``
+    fails. Idempotent; Python 3.13 drops the cache instead of re-reading,
+    so there it changes nothing."""
+    cls = zipimport.zipimporter
+    if sys.version_info >= (3, 13) or getattr(cls, "_keeps_directory", False):
+        return
+    reread = cls.invalidate_caches
+
+    def invalidate_caches(self) -> None:
+        try:
+            st = os.stat(self.archive)
+        except OSError:
+            self._directory_stamp = None
+            return reread(self)
+        stamp = (st.st_mtime_ns, st.st_size)
+        if getattr(self, "_directory_stamp", None) != stamp:
+            reread(self)
+            self._directory_stamp = stamp
+
+    cls.invalidate_caches = invalidate_caches
+    cls._keeps_directory = True
 
 
 def push_in_arrival_order(engine, table: pa.Table) -> None:

@@ -5,7 +5,7 @@ The paper's stream delivers left vertices one at a time with their
 incident edges. Here the stream is a Structured Streaming *file source*:
 the vertex stream is written as a sequence of JSON micro-batch files
 (``write_stream_files``), a streaming DataFrame reads them with the
-(u, neighbors) schema, and ``foreachBatch`` pushes each micro-batch into
+(u, neighbors) schema, and ``foreachBatch`` feeds each micro-batch to
 an incremental :class:`~repro.core.sofa.SofaEngine` held by the driver.
 The engine's state is exactly Algorithm 2's sublinear state (≤ c_max
 weighted centers + MG sketches), so this is the paper's one-pass
@@ -14,10 +14,14 @@ semantics riding on Spark's streaming runtime.
 Each micro-batch reaches the driver as one Arrow table
 (``DataFrame.toArrow``) and is pushed vertex by vertex in arrival order
 (``u``) by :func:`~repro.spark.stream_df.push_in_arrival_order`, the
-decoder the partition pass shares; a null list pushes as empty. The
-driver holds one micro-batch at a time: at most
-``MAX_FILES_PER_TRIGGER × vertices_per_file`` vertices, whatever the
-stream's length.
+decoder the partition pass shares; a null list pushes as empty.
+``foreachBatch`` only fetches the table and hands it to one engine
+thread through a one-slot queue, so the engine pushes batch *j* while
+Spark commits it and plans, lists and fetches batch *j + 1*; the pushes
+keep batch order, so the result is the single-threaded one. The driver
+holds at most three micro-batches (one being pushed, one queued, one
+being fetched), each at most ``MAX_FILES_PER_TRIGGER ×
+vertices_per_file`` vertices, whatever the stream's length.
 
 ``availableNow`` triggering processes the backlog and stops, which makes
 the path deterministic and testable; a live deployment would use the
@@ -27,6 +31,8 @@ from __future__ import annotations
 
 import json
 import os
+import queue
+import threading
 import time
 from typing import Optional
 
@@ -36,12 +42,13 @@ from repro.core.sofa import SofaEngine, SofaParams, SofaResult
 from repro.spark.stream_df import STREAM_SCHEMA, push_in_arrival_order
 from repro.synth_data import BipartiteGraph
 
-# Stream files per micro-batch. Each trigger costs a fixed ~0.15–0.2 s of
-# offset/commit-log writes and source listing (4 vCPU, local[4]), so fewer,
-# larger batches drain a backlog faster: the 47-file wiki stream takes 3
-# triggers instead of 12. Past 16 the saving is small (one trigger still
-# costs ~0.5 s), and the bound keeps a micro-batch at 16 × 256 = 4096
-# vertices with the default file size.
+# Stream files per micro-batch. Outside ``addBatch`` a trigger spends
+# ~0.12–0.15 s: latestOffset, walCommit and commitOffsets ~30–50 ms each,
+# getBatch and queryPlanning ~20–30 ms together (query.recentProgress
+# durationMs, wiki stand-in, 4 vCPU, local[4]). Fewer, larger batches pay
+# that less often: the 47-file wiki stream takes 3 triggers instead of
+# 12. The bound keeps a micro-batch at 16 × 256 = 4096 vertices with the
+# default file size.
 MAX_FILES_PER_TRIGGER = 16
 _MTIME_STEP_NS = 2_000_000_000  # ≥ the coarsest common mtime resolution (2 s)
 
@@ -85,21 +92,46 @@ def sofa_from_stream_dir(
 ) -> SofaResult:
     """Run SOFA's first pass over a directory of stream files using
     Structured Streaming with an availableNow trigger; returns the
-    finalized SofaResult once the backlog is drained."""
+    finalized SofaResult once the backlog is drained.
+
+    ``foreachBatch`` only fetches each micro-batch; one engine thread
+    pushes the tables in batch order while Spark runs the next trigger.
+    An engine error stops the query at its next batch and is raised
+    here with its own type. The engine thread is joined before this
+    returns or raises."""
     engine = SofaEngine(params, m_hint=m_hint)
+    tables: queue.Queue = queue.Queue(maxsize=1)  # None ends the stream
+    failure: list[Exception] = []
+
+    def push_all() -> None:
+        # Keeps draining after a failure, so a blocked ``put`` returns.
+        while (table := tables.get()) is not None:
+            if not failure:
+                try:
+                    push_in_arrival_order(engine, table)
+                except Exception as exc:
+                    failure.append(exc)
+
+    def feed(batch_df, batch_id: int) -> None:
+        if failure:
+            raise failure[0]
+        tables.put(batch_df.toArrow())
 
     reader = (
         spark.readStream.schema(STREAM_SCHEMA)
         .option("maxFilesPerTrigger", MAX_FILES_PER_TRIGGER)
         .json(stream_dir)
     )
-
-    def feed(batch_df, batch_id: int) -> None:
-        push_in_arrival_order(engine, batch_df.toArrow())
-
     writer = reader.writeStream.foreachBatch(feed).trigger(availableNow=True)
     if checkpoint_dir is not None:
         writer = writer.option("checkpointLocation", checkpoint_dir)
-    query = writer.start()
-    query.awaitTermination()
+    pusher = threading.Thread(target=push_all, name="sofa-engine", daemon=True)
+    pusher.start()
+    try:
+        writer.start().awaitTermination()
+    finally:
+        tables.put(None)
+        pusher.join()
+        if failure:
+            raise failure[0]
     return engine.finalize()

@@ -1,5 +1,6 @@
 """Tests for Spark reconstruction metrics vs DuckDB oracle and the
 sequential reference (§6.2 measures)."""
+import numpy as np
 import pandas as pd
 import pytest
 
@@ -72,6 +73,19 @@ class TestAgainstSequential:
         assert got.errors == want.errors
         assert got.relative_hamming_gain == pytest.approx(want.relative_hamming_gain)
         assert got.recall == pytest.approx(want.recall)
+
+    def test_edgeless_stream_counts_zero(self, spark):
+        """No edges and no memberships: zeros, as the sequential metrics
+        give, not the nulls of a sum over no rows."""
+        g = sd.BipartiteGraph(2, 3, [np.empty(0, np.int64)] * 2)
+        clusters = [[0, 1]]
+        stream = to_spark_stream(spark, g)
+        mdf = assign_left_bmf_df(stream, clusters)
+        row = metrics_summary_df(
+            edges_from_stream(stream), mdf, clusters_to_df(spark, clusters)
+        ).collect()[0]
+        got = SparkReconstruction(int(row["ones"]), int(row["tp"]), int(row["fp"]))
+        assert got == reconstruction_metrics(g.adj, [[], []], clusters)
 
 
 class TestOracle:

@@ -1,13 +1,18 @@
 """Tests for the distributed SOFA operator and Structured Streaming path."""
 import json
 import os
+import threading
+import time
 
 import numpy as np
 import pyspark.sql.functions as F
 import pytest
 from pyspark import AccumulatorParam, TaskContext
+from pyspark.errors import StreamingQueryException
+from pyspark.sql.classic.dataframe import DataFrame
 
 import repro.spark.distributed_sofa as dsofa
+import repro.spark.structured as structured
 from repro import synth_data as sd
 from repro.core.sofa import SofaParams, sofa_pass
 from repro.eval.quality import jaccard_quality
@@ -246,3 +251,95 @@ class TestStructuredStreaming:
         write_stream_files(g, sdir, vertices_per_file=7)  # ragged batches
         res = sofa_from_stream_dir(spark, sdir, params, m_hint=g.n_left)
         assert res.n_processed == g.n_left
+
+
+def _threads_since(before: set) -> list:
+    """Threads alive now that were not in ``before``, except py4j's: the
+    callback server starts with the session's first ``foreachBatch``, and
+    py4j keeps one connection thread per JVM thread that called into
+    Python (each streaming query runs on a new one)."""
+    return [
+        t for t in threading.enumerate()
+        if t not in before
+        and not type(getattr(t._target, "__self__", None)).__module__.startswith("py4j.")
+    ]
+
+
+class TestPipelinedStream:
+    """The engine thread of ``sofa_from_stream_dir``: exact while it lags
+    behind Spark, its errors reach the caller, and it never outlives the
+    call."""
+
+    @pytest.fixture
+    def ragged(self, tmp_path):
+        """A >3-trigger ragged stream and the threads alive before the call."""
+        g = _ragged_stream(7)
+        sdir = str(tmp_path / "stream")
+        write_stream_files(g, sdir, vertices_per_file=7)
+        return g, sdir, set(threading.enumerate())
+
+    def test_engine_lagging_behind_triggers_is_exact(
+        self, spark, tmp_path, params, ragged, monkeypatch
+    ):
+        g, sdir, threads = ragged
+        first_batch = MAX_FILES_PER_TRIGGER * 7
+        fetched, fetched_by_end_of_first = [], []
+        fetch = DataFrame.toArrow
+
+        def counted_fetch(self):
+            table = fetch(self)
+            fetched.append(table.num_rows)
+            return table
+
+        class SlowEngine(structured.SofaEngine):
+            n_pushed = 0
+
+            def push(self, nbrs):
+                time.sleep(0.008)  # ~0.9 s per 16-file batch: Spark runs ahead
+                super().push(nbrs)
+                self.n_pushed += 1
+                if self.n_pushed == first_batch:
+                    fetched_by_end_of_first.append(len(fetched))
+
+        monkeypatch.setattr(DataFrame, "toArrow", counted_fetch)
+        monkeypatch.setattr(structured, "SofaEngine", SlowEngine)
+        want = sofa_pass([a.tolist() for a in g.adj], params, m_hint=g.n_left)
+        got = sofa_from_stream_dir(
+            spark, sdir, params, m_hint=g.n_left, checkpoint_dir=str(tmp_path / "ckpt")
+        )
+        assert_same_result(got, want)
+        assert fetched[0] == first_batch and len(fetched) > 3
+        assert fetched_by_end_of_first[0] >= 2  # the next batch came in meanwhile
+        assert _threads_since(threads) == []
+
+    @pytest.mark.parametrize("fail_at", [10, -1])  # first batch, last vertex
+    def test_engine_error_reaches_caller(
+        self, spark, params, ragged, monkeypatch, fail_at
+    ):
+        g, sdir, threads = ragged
+        fail_at %= g.n_left
+
+        class FailingEngine(structured.SofaEngine):
+            n_pushed = 0
+
+            def push(self, nbrs):
+                if self.n_pushed == fail_at:
+                    raise ValueError("engine failed")
+                self.n_pushed += 1
+                super().push(nbrs)
+
+        monkeypatch.setattr(structured, "SofaEngine", FailingEngine)
+        with pytest.raises(ValueError, match="engine failed"):
+            sofa_from_stream_dir(spark, sdir, params, m_hint=g.n_left)
+        assert _threads_since(threads) == []
+
+    def test_query_error_joins_engine_thread(self, spark, params, ragged, monkeypatch):
+        g, sdir, threads = ragged
+
+        def broken_fetch(self):
+            raise RuntimeError("fetch failed")
+
+        monkeypatch.setattr(DataFrame, "toArrow", broken_fetch)
+        with pytest.raises(StreamingQueryException, match="fetch failed"):
+            sofa_from_stream_dir(spark, sdir, params, m_hint=g.n_left)
+        assert _threads_since(threads) == []
