@@ -18,10 +18,12 @@ int arrays). Two forms are used:
 Algorithm 2) for a block of B points at once: one ``bincount`` over
 their posting lists gives all B×C overlaps, and a first-minimum
 ``argmin`` per row of the dense B×C distances picks the nearest.
+``block_distances`` gives the B×B distances among the block's own
+points, which a point opened mid-block needs.
 """
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -81,19 +83,20 @@ class CenterIndex:
         return ci, np.maximum(dist[np.arange(b), ci], 0.0)
 
 
-def distance_column(points: Sequence[np.ndarray], alpha: float) -> Callable[[int], np.ndarray]:
-    """For point supports (sorted, no duplicates), a function from ``j`` to
-    every point's distance to point ``j`` as a center, clamped at 0: ``j``'s
-    ids marked over the points' distinct ids, the marks summed per point."""
+def block_distances(points: Sequence[np.ndarray], alpha: float) -> np.ndarray:
+    """All distances within a block of point supports (sorted, no
+    duplicates): entry ``[j, i]`` is point ``i``'s distance to point ``j``
+    as a center, clamped at 0. One ``bincount`` over the pairs of rows
+    that share an id gives every overlap."""
+    b = len(points)
     sizes = np.asarray([len(p) for p in points], dtype=np.int64)
-    offs = np.concatenate(([0], np.cumsum(sizes)))
-    row = np.repeat(np.arange(len(points)), sizes)
-    uniq, inv = np.unique(np.concatenate(points), return_inverse=True)
-
-    def column(j: int) -> np.ndarray:
-        mark = np.zeros(len(uniq))
-        mark[inv[offs[j]:offs[j + 1]]] = 1.0
-        ov = np.bincount(row, weights=mark[inv], minlength=len(points))
-        return np.maximum(sizes + alpha * sizes[j] - (1.0 + alpha) * ov, 0.0)
-
-    return column
+    vals = np.concatenate([np.empty(0, np.int64), *points])
+    order = np.argsort(vals, kind="stable")
+    rows, vals = np.repeat(np.arange(b), sizes)[order], vals[order]
+    start = np.flatnonzero(np.diff(vals, prepend=vals[:1] - 1))  # first row of each id
+    g = np.diff(start, append=len(vals))  # rows sharing each id
+    n_pair = np.repeat(g, g)  # a row pairs with every row of its id, itself included
+    pair_start = np.repeat(np.cumsum(n_pair) - n_pair, n_pair)
+    partner = np.repeat(np.repeat(start, g), n_pair) + np.arange(n_pair.sum()) - pair_start
+    ov = np.bincount(np.repeat(rows, n_pair) * b + rows[partner], minlength=b * b).reshape(b, b)
+    return np.maximum(sizes + (alpha * sizes)[:, None] - (1.0 + alpha) * ov, 0.0)

@@ -44,7 +44,7 @@ from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from .distance import DEFAULT_ALPHA, CenterIndex, distance_column
+from .distance import DEFAULT_ALPHA, CenterIndex, block_distances
 from .kmedians import kmedians
 from .mg import MisraGries
 
@@ -160,7 +160,12 @@ class SofaEngine:
         self.push_state(CenterState(sup, 1.0, sk))
 
     def push_state(self, state: CenterState) -> None:
-        """Feed a pre-weighted center (carries its accumulated sketch)."""
+        """Feed a pre-weighted center (carries its accumulated sketch).
+
+        The engine takes ownership: if ``state`` opens a center, later
+        items merge into it, changing its weight and sketch in place.
+        Feed a copy (e.g. a fresh decoding of the Arrow coresets) to
+        keep the original."""
         self._pending.append(state)
         if len(self._pending) >= BLOCK:
             self.flush()
@@ -188,7 +193,7 @@ class SofaEngine:
         """Lines 5–20 for each row in order (the first ``n_rep`` are
         replays). Returns the rows walked if one restarts the pass, else 0."""
         sups = [it.support for it in block]
-        column = distance_column(sups, self.params.alpha)
+        among = None  # the block's distances among its rows, made at its first open
         ci, dist = np.zeros(len(block), dtype=np.int64), np.full(len(block), np.inf)
         if self.centers:
             ci, dist = self._index.nearest_block(sups)
@@ -203,7 +208,9 @@ class SofaEngine:
                 self.n_opened += 1
                 if len(self.centers) >= self.params.c_max:
                     return r + 1
-                col = column(r)
+                if among is None:
+                    among = block_distances(sups, self.params.alpha)
+                col = among[r]
                 win = col < dist  # strict: a tie keeps the lower index
                 win[:r + 1] = False
                 ci[win], dist[win] = len(self.centers) - 1, col[win]
@@ -251,7 +258,13 @@ def merge_center_states(
     """Re-run SOFA over a list of weighted centers (used by the
     distributed implementation to combine per-partition coresets). The
     mergeability of MG sketches makes this semantically equivalent to a
-    single pass over the concatenated streams, up to sketch error."""
+    single pass over the concatenated streams, up to sketch error.
+
+    The states are consumed, as by :meth:`SofaEngine.push_state`: those
+    that open centers absorb later merges in place, and the result's
+    centers are those objects. Merging the same list twice therefore
+    merges different inputs (flickr's k = 16 coresets: 299 centers the
+    second time instead of 237); merge fresh copies instead."""
     eng = SofaEngine(params, m_hint=m_hint or max(16, len(states)))
     for st in states:
         eng.push_state(st)

@@ -17,13 +17,19 @@ physical operator:
    :class:`~repro.core.sofa.SofaEngine` over those rows, pushed in
    arrival order (``u``) by
    :func:`~repro.spark.stream_df.push_in_arrival_order`, and emits the
-   surviving weighted centers, one ``(part, pickled CenterState)`` row
-   each — a mergeable coreset of at most ``c_max`` rows per logical
-   partition, the same as one task per partition would give.
+   surviving weighted centers as Arrow rows, one per center (its
+   partition, support, weight, MG counters in insertion order, total
+   and capacity) — a mergeable coreset of at most ``c_max`` rows per
+   logical partition, the same as one task per partition would give.
 2. **Driver merge**: the collected coresets (tiny: ``partitions * c_max``
-   rows), in (partition, center) order, are re-streamed through the
-   engine via :func:`~repro.core.sofa.merge_center_states`, then the
-   standard postprocessing (k-Medians + thresholding) runs.
+   rows) come back as one Arrow table (``toArrow``), are put in
+   (partition, center) order and decoded into fresh ``CenterState``s,
+   then re-streamed through the engine via
+   :func:`~repro.core.sofa.merge_center_states`, and the standard
+   postprocessing (k-Medians + thresholding) runs.
+
+:func:`coresets_to_arrow` and :func:`coresets_from_arrow` are the engine
+state's one serialization: no center travels pickled.
 
 The result type is the same ``SofaResult`` as the sequential engine, so
 the second pass and all metrics are shared. A true JVM operator is out
@@ -32,14 +38,14 @@ is exactly what mapInArrow + a driver-side merge expresses.
 """
 from __future__ import annotations
 
-import pickle
-from typing import Iterator, List, Optional
+from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
 import pyarrow as pa
 import pyspark.sql.functions as F
 from pyspark.sql import DataFrame
 
+from repro.core.mg import MisraGries
 from repro.core.sofa import (
     CenterState,
     SofaEngine,
@@ -47,10 +53,52 @@ from repro.core.sofa import (
     SofaResult,
     merge_center_states,
 )
-from repro.spark.stream_df import keep_zip_directories, push_in_arrival_order
+from repro.spark.stream_df import keep_zip_directories, list_array, push_in_arrival_order
 
 _PART = "part"  # logical partition: spark_partition_id() of the input stream
-_CORESET_SCHEMA = "part int, state binary"  # a center: its partition, its pickled CenterState
+_CORESET_SCHEMA = (  # a center a row: its partition, then its CenterState's fields
+    "part int, support array<bigint>, weight double, sketch_ids array<bigint>, "
+    "sketch_counts array<double>, total double, capacity int"
+)
+_COLUMNS = [field.split()[0] for field in _CORESET_SCHEMA.split(", ")]
+
+
+def coresets_to_arrow(states: Sequence[CenterState], part: int = 0) -> pa.RecordBatch:
+    """Encode centers in order, one :data:`_CORESET_SCHEMA` row each,
+    tagged ``part``. A sketch's ids and counts keep its counters'
+    insertion order, which ``auto_theta`` and the engine's merges read."""
+    sketches = [s.sketch for s in states]
+    return pa.RecordBatch.from_arrays([
+        pa.array(np.full(len(states), part, dtype=np.int32)),
+        list_array([s.support for s in states], pa.int64()),
+        pa.array([s.weight for s in states], pa.float64()),
+        list_array([np.fromiter(k.counters, np.int64, len(k)) for k in sketches], pa.int64()),
+        list_array([np.fromiter(k.counters.values(), np.float64, len(k)) for k in sketches],
+                    pa.float64()),
+        pa.array([k.total for k in sketches], pa.float64()),
+        pa.array([k.capacity for k in sketches], pa.int32()),
+    ], names=_COLUMNS)
+
+
+def coresets_from_arrow(table: pa.Table) -> List[CenterState]:
+    """Decode :func:`coresets_to_arrow` rows, in table order, into fresh
+    ``CenterState``s (supports are views of one new array)."""
+    def lists(name):  # a list column's offsets into its values
+        col = table.column(name).combine_chunks()
+        return col.offsets.to_numpy().tolist(), np.array(col.values.to_numpy())
+
+    sup_at, sup = lists("support")  # a writable copy, as the engine's supports are
+    id_at, ids = lists("sketch_ids")
+    count_at, counts = lists("sketch_counts")
+    ids, counts = ids.tolist(), counts.tolist()
+    weights, totals, caps = (table.column(c).to_pylist() for c in ("weight", "total", "capacity"))
+    out = []
+    for i in range(table.num_rows):
+        sk = MisraGries(caps[i])
+        sk.counters = dict(zip(ids[id_at[i]:id_at[i + 1]], counts[count_at[i]:count_at[i + 1]]))
+        sk.total = totals[i]
+        out.append(CenterState(sup[sup_at[i]:sup_at[i + 1]], weights[i], sk))
+    return out
 
 
 def _partition_runner(params: SofaParams):
@@ -67,11 +115,7 @@ def _partition_runner(params: SofaParams):
         eng = SofaEngine(params, m_hint=table.num_rows)
         push_in_arrival_order(eng, table)
         eng.flush()
-        states = [pickle.dumps(c) for c in eng.centers]
-        return pa.RecordBatch.from_pydict({
-            _PART: pa.array([part] * len(states), pa.int32()),
-            "state": pa.array(states, pa.binary()),
-        })
+        return coresets_to_arrow(eng.centers, part)
 
     def run(batches: Iterator[pa.RecordBatch]) -> Iterator[pa.RecordBatch]:
         keep_zip_directories()
@@ -102,17 +146,18 @@ def collect_partition_coresets(
     stream_df: DataFrame, params: SofaParams
 ) -> list[CenterState]:
     """First stage: run SOFA inside each partition of ``stream_df``,
-    return the union of the per-partition coresets as CenterState
+    return the union of the per-partition coresets as fresh CenterState
     objects on the driver, in (partition, center) order."""
     slots = stream_df.sparkSession.sparkContext.defaultParallelism
-    rows = (
+    table = (
         stream_df.withColumn(_PART, F.spark_partition_id())
         .coalesce(slots)
         .mapInArrow(_partition_runner(params), schema=_CORESET_SCHEMA)
-        .collect()
+        .toArrow()
     )
-    rows.sort(key=lambda r: r[_PART])  # stable: center order within a partition
-    return [pickle.loads(r["state"]) for r in rows]
+    # stable: center order within a partition
+    order = np.argsort(table.column(_PART).to_numpy(), kind="stable")
+    return coresets_from_arrow(table.take(order))
 
 
 def distributed_sofa(

@@ -3,8 +3,9 @@
 The streaming model delivers left vertices one by one with all incident
 edges; in Spark that is a DataFrame with schema :data:`STREAM_SCHEMA`
 whose row order within a partition is the arrival order. This module
-owns the format: the encoder :func:`to_spark_stream` (one Arrow table)
-and the decoder :func:`arrival_order`, which every Spark operator over
+owns the format: the encoder :func:`to_spark_stream` (Arrow batches,
+optionally laid out as Spark's hash partitioning, with no shuffle) and
+the decoder :func:`arrival_order`, which every Spark operator over
 the stream (both first passes and the §4.2 cover) calls on its Arrow
 input, a null list read as ``[]``. The Table 1 statistics (|U|, |V|,
 |E|, density, mean degree, P99 degree) are pure Catalyst expressions
@@ -19,7 +20,7 @@ import os
 import sys
 import zipimport
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 import pyarrow as pa
@@ -37,18 +38,83 @@ def to_spark_stream(
     """Vertex-stream DataFrame: one row per left vertex, in stream order,
     with its neighbor array — the unit of arrival in the paper's model.
     The ``neighbors`` column is one Arrow list array over the
-    concatenated adjacency arrays."""
-    offsets = np.zeros(graph.n_left + 1, dtype=np.int32)
-    np.cumsum(graph.degrees(), out=offsets[1:])
-    values = np.concatenate([np.empty(0, np.int64), *graph.adj])
-    table = pa.table({
-        "u": np.arange(graph.n_left, dtype=np.int64),
-        "neighbors": pa.ListArray.from_arrays(offsets, pa.array(values, pa.int64())),
-    })
-    df = spark.createDataFrame(table, schema=STREAM_SCHEMA)
-    if num_partitions is not None:
-        df = df.repartition(num_partitions, "u")
+    concatenated adjacency arrays.
+
+    With ``num_partitions`` = n the layout equals ``repartition(n, "u")``
+    without its exchange: row ``u`` lies in partition ``pmod(hash(u), n)``
+    (:func:`spark_hash_long`, computed here), the rows of a partition in
+    ``u`` order, and the frame has exactly n partitions. Spark gets one
+    Arrow batch per partition and parallelizes them one per partition
+    (``createDataFrame``'s RDD path, which it takes while
+    ``localRelationThreshold`` is 0). Arrow hands over no empty batch
+    after the last row, so an empty ``range`` of the missing partitions
+    is appended by a union."""
+    us = np.arange(graph.n_left, dtype=np.int64)
+    if num_partitions is None:
+        batch = _stream_batch(us, graph.adj)
+        return spark.createDataFrame(pa.Table.from_batches([batch]), schema=STREAM_SCHEMA)
+    part = spark_hash_long(us) % num_partitions
+    order = np.argsort(part, kind="stable")  # by partition, then u
+    batch = _stream_batch(us[order], [graph.adj[u] for u in order])
+    bounds = np.searchsorted(part[order], np.arange(num_partitions + 1))
+    sizes = np.diff(bounds)
+    table = pa.Table.from_batches(
+        [batch.slice(lo, n) for lo, n in zip(bounds, sizes)], schema=batch.schema
+    )
+    arrow = "spark.sql.execution.arrow."
+    conf = {arrow + "localRelationThreshold": "0",
+            arrow + "maxRecordsPerBatch": str(max(1, int(sizes.max())))}
+    saved = {key: spark.conf.get(key) for key in conf}
+    try:
+        for key, value in conf.items():
+            spark.conf.set(key, value)
+        df = spark.createDataFrame(table, schema=STREAM_SCHEMA)
+    finally:
+        for key, value in saved.items():
+            spark.conf.set(key, value)
+    filled = np.flatnonzero(sizes)
+    tail = num_partitions - (int(filled[-1]) + 1 if len(filled) else 0)
+    if tail:
+        df = df.union(spark.range(0, tail, 1, tail).where("id < 0").selectExpr(
+            "id AS u", "CAST(NULL AS array<bigint>) AS neighbors"))
     return df
+
+
+def _stream_batch(us: np.ndarray, adj) -> pa.RecordBatch:
+    """The rows ``(us[i], adj[i])`` as one Arrow batch of the stream."""
+    return pa.RecordBatch.from_arrays(
+        [pa.array(us, pa.int64()), list_array(adj, pa.int64())], names=["u", "neighbors"]
+    )
+
+
+def list_array(arrays: Sequence[np.ndarray], type_: pa.DataType) -> pa.ListArray:
+    """One Arrow list per array: offsets over the arrays' concatenation."""
+    offsets = np.zeros(len(arrays) + 1, dtype=np.int32)
+    np.cumsum([len(a) for a in arrays], out=offsets[1:])
+    values = np.concatenate([np.empty(0, type_.to_pandas_dtype()), *arrays])
+    return pa.ListArray.from_arrays(offsets, pa.array(values, type_))
+
+
+def spark_hash_long(values: np.ndarray) -> np.ndarray:
+    """Spark's ``hash()`` of bigint values, as int32: Murmur3 x86_32 with
+    seed 42 over each value's low, then high 32-bit word
+    (``Murmur3_x86_32.hashLong``), all arithmetic modulo 2**32."""
+    w = np.asarray(values, dtype=np.int64).view(np.uint64)
+    u32 = np.uint32
+    h = np.full(w.shape, 42, dtype=u32)
+    for word in ((w & np.uint64(0xFFFFFFFF)).astype(u32), (w >> np.uint64(32)).astype(u32)):
+        k = word * u32(0xCC9E2D51)
+        k = (k << u32(15)) | (k >> u32(17))
+        h ^= k * u32(0x1B873593)
+        h = (h << u32(13)) | (h >> u32(19))
+        h = h * u32(5) + u32(0xE6546B64)
+    h ^= u32(8)  # the input length in bytes
+    h ^= h >> u32(16)
+    h *= u32(0x85EBCA6B)
+    h ^= h >> u32(13)
+    h *= u32(0xC2B2AE35)
+    h ^= h >> u32(16)
+    return h.view(np.int32)
 
 
 def arrival_order(table: pa.Table) -> tuple[list[int], list[list[int]]]:

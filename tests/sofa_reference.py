@@ -10,16 +10,16 @@ of ``repro.core.distance.CenterIndex``.
 
 Run as a script, it compares the two on every stand-in (dataset, k)
 cell of the grid, and on flickr and wiki at the paper's k = 200, in
-three places: the sequential pass, 8 partition coresets (rows split by
-``u mod 8``, through ``_partition_runner``) and the driver merge of
-those coresets::
+three places: the sequential pass, 8 partition coresets (rows split as
+the harness's stream is, ``pmod(hash(u), 8)``, through
+``_partition_runner`` and decoded by the Arrow coreset codec) and the
+driver merge of those coresets::
 
     PYTHONPATH=src python -m tests.sofa_reference
 """
 from __future__ import annotations
 
 import math
-import pickle
 import time
 from typing import Dict, List, Optional, Sequence
 
@@ -39,7 +39,12 @@ from repro.core.sofa import (
 )
 from repro.eval.datasets import DATASET_NAMES, K_GRID, load_dataset
 from repro.eval.harness import sofa_params_for
-from repro.spark.distributed_sofa import _partition_runner
+from repro.spark.distributed_sofa import (
+    _partition_runner,
+    coresets_from_arrow,
+    coresets_to_arrow,
+)
+from repro.spark.stream_df import spark_hash_long
 
 N_PARTS = 8
 
@@ -211,8 +216,14 @@ def state_of(res: SofaResult) -> tuple:
 
 
 def copy_states(states: List[CenterState]) -> List[CenterState]:
-    """A deep copy: both engines merge into the states they are fed."""
-    return pickle.loads(pickle.dumps(states))
+    """A deep copy through the Arrow coreset codec: both engines merge
+    into the states they are fed."""
+    return decode_batches([coresets_to_arrow(states)])
+
+
+def decode_batches(batches: List[pa.RecordBatch]) -> List[CenterState]:
+    """The centers in coreset batches (``_partition_runner`` output)."""
+    return coresets_from_arrow(pa.Table.from_batches(batches)) if batches else []
 
 
 def stream_batch(us, lists) -> pa.RecordBatch:
@@ -228,16 +239,18 @@ def run_partition(adj, us, params: SofaParams) -> List[CenterState]:
     us = np.random.default_rng(len(us)).permutation(us)
     half = len(us) // 2
     batches = [stream_batch(part, [adj[u] for u in part]) for part in (us[:half], us[half:])]
-    out = _partition_runner(params)(iter(batches))
-    return [pickle.loads(b) for batch in out for b in batch.column("state").to_pylist()]
+    return decode_batches(list(_partition_runner(params)(iter(batches))))
 
 
 def coresets_match(graph, params: SofaParams) -> tuple[bool, List[CenterState]]:
-    """Whether every ``u mod N_PARTS`` partition's coreset equals the
-    reference's, and the coresets in the driver's merge order."""
+    """Whether every partition's coreset equals the reference's, the
+    rows split as the harness's stream is (``pmod(hash(u), N_PARTS)``),
+    and the coresets in the driver's merge order."""
     same, states = True, []
+    all_us = np.arange(graph.n_left)
+    part_of = spark_hash_long(all_us) % N_PARTS
     for part in range(N_PARTS):
-        us = np.arange(part, graph.n_left, N_PARTS)
+        us = all_us[part_of == part]
         coreset = run_partition(graph.adj, us, params)
         want = reference_pass([graph.adj[u].tolist() for u in us], params, m_hint=len(us))
         same &= centers_of(coreset) == centers_of(want.centers)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.distance import CenterIndex, distance_column, hamming
+from repro.core.distance import CenterIndex, block_distances, hamming
 
 from .sofa_reference import asymmetric_hamming
 
@@ -149,21 +149,40 @@ class TestCenterIndex:
             assert d == pytest.approx(min(brute))
 
 
-class TestDistanceColumn:
+class TestBlockDistances:
+    """Entry ``[j, i]``: point i's distance to point j as a center."""
+
+    @staticmethod
+    def _check(points, alpha):
+        got = block_distances([_sup(p) for p in points], alpha)
+        assert got.shape == (len(points), len(points))
+        for j, center in enumerate(points):
+            want = [max(asymmetric_hamming(center, p, alpha), 0.0) for p in points]
+            assert got[j] == pytest.approx(want, abs=1e-12)
+
     @given(
         st.lists(st.lists(st.integers(0, 9), max_size=6), min_size=1, max_size=12),
-        st.data(),
         st.sampled_from([0.1, 1.0]),
     )
     @settings(max_examples=200, deadline=None)
-    def test_matches_bruteforce(self, points, data, alpha):
-        """Every point's distance to point j as a center, empty points and
-        points sharing no id with j included."""
-        j = data.draw(st.integers(0, len(points) - 1))
-        col = distance_column([_sup(p) for p in points], alpha)(j)
-        want = [asymmetric_hamming(points[j], p, alpha) for p in points]
-        assert col == pytest.approx(want)
+    def test_matches_bruteforce(self, points, alpha):
+        """A small id alphabet: duplicate rows, empty rows and rows that
+        share no id are common."""
+        self._check(points, alpha)
+
+    def test_duplicate_rows_are_at_zero(self):
+        points = [[1, 2, 3], [4], [1, 2, 3], [], [2, 3]]
+        self._check(points, 0.1)
+        got = block_distances([_sup(p) for p in points], 0.1)
+        assert got[0, 2] == got[2, 0] == 0.0
+
+    def test_empty_support(self):
+        self._check([[], [5, 6], []], 0.1)
+
+    def test_one_row_block(self):
+        self._check([[3, 7, 9]], 0.1)
+        self._check([[]], 0.1)
 
     def test_all_points_empty(self):
-        col = distance_column([_sup([]), _sup([])], 0.1)(1)
-        assert col.tolist() == [0.0, 0.0]
+        got = block_distances([_sup([]), _sup([])], 0.1)
+        assert got.tolist() == [[0.0, 0.0], [0.0, 0.0]]

@@ -1,8 +1,9 @@
 """Module boundaries of ``src/repro``, read from the source with ``ast``:
 pandas and duckdb belong to the test oracle (``tests/oracle.py``), not
 to the package; pyspark to the Spark layer and the two eval modules
-that drive it; and the vertex stream's wire format is written down once
-(``repro.spark.stream_df``)."""
+that drive it; the vertex stream's wire format is written down once
+(``repro.spark.stream_df``); and engine state crosses Spark as Arrow
+coresets, never pickled."""
 import ast
 from pathlib import Path
 
@@ -43,6 +44,11 @@ def test_pyspark_only_in_spark_layer():
     allowed = {"eval/harness.py", "eval/tables.py"}
     stray = {m for m in _importers("pyspark") if not m.startswith("spark/")}
     assert stray <= allowed
+
+
+def test_no_pickle_in_spark_layer():
+    """Coresets travel through ``distributed_sofa``'s Arrow codec."""
+    assert {m for m in _importers("pickle") if m.startswith("spark/")} == set()
 
 
 def test_no_map_in_pandas():

@@ -1,7 +1,5 @@
 """The block-walking SOFA engine against the per-vertex reference
 (tests/sofa_reference.py): full engine state must be identical."""
-import pickle
-
 import numpy as np
 import pyarrow as pa
 import pytest
@@ -26,6 +24,7 @@ from .sofa_reference import (
     centers_of,
     coresets_match,
     copy_states,
+    decode_batches,
     reference_merge,
     reference_pass,
     run_partition,
@@ -45,8 +44,8 @@ def test_standin_first_pass_matches_reference(dataset):
 
 @pytest.mark.parametrize("dataset", DATASET_NAMES)
 def test_standin_coresets_and_merge_match_reference(dataset):
-    """8 partition coresets (rows split by ``u mod 8``) and the driver
-    merge of those coresets, at the grid's smallest k (most restarts per
+    """8 partition coresets (rows split by ``pmod(hash(u), 8)``, as the
+    harness's stream is) and the driver merge of those coresets, at the grid's smallest k (most restarts per
     center)."""
     g = load_dataset(dataset)
     params = sofa_params_for(g, min(K_GRID))
@@ -79,7 +78,7 @@ def test_partition_runner_splits_tagged_partitions():
     out = list(_partition_runner(params)(iter(batches)))
     assert [set(b.column("part").to_pylist()) for b in out] == [{0}, {1}]
     for part, batch in enumerate(out):
-        got = [pickle.loads(b) for b in batch.column("state").to_pylist()]
+        got = decode_batches([batch])
         assert centers_of(got) == centers_of(run_partition(g.adj, us[part::2], params))
 
 
@@ -111,10 +110,11 @@ def _run_both(items, params, m_hint, weighted):
     engines = [_RecordingEngine(params, m_hint=m_hint),
                ReferenceEngine(params, m_hint=m_hint)]
     for eng in engines:
-        for it in copy_states(items):
-            if weighted:
+        if weighted:  # each engine merges into its own copy
+            for it in copy_states(items):
                 eng.push_state(it)
-            else:
+        else:
+            for it in items:
                 eng.push(it)
     got, want = (eng.finalize() for eng in engines)
     assert state_of(got) == state_of(want)

@@ -1,18 +1,23 @@
 """Tests for stream/edge DataFrame helpers and Table 1 statistics, with
 DuckDB oracle checks on every SQL-expressible aggregate."""
+import numpy as np
 import pyspark.sql.functions as F
 import pytest
 
 from repro import synth_data as sd
 from .oracle import assert_equivalent
+from repro.core.sofa import SofaParams, sofa_pass
+from repro.spark.distributed_sofa import collect_partition_coresets
 from repro.spark.stream_df import (
     dataset_stats,
     degree_df,
     edges_from_stream,
+    spark_hash_long,
     to_spark_stream,
 )
 
 from .oracle_frames import edge_frame
+from .sofa_reference import centers_of
 
 
 @pytest.fixture(scope="module")
@@ -90,3 +95,60 @@ class TestDatasetStats:
         st = dataset_stats(edges)
         assert st.n_left <= 75
         assert st.n_right <= 300
+
+
+def _plan(df, capsys) -> str:
+    """The physical plan ``df.explain()`` prints."""
+    capsys.readouterr()
+    df.explain()
+    return capsys.readouterr().out
+
+
+def _tags(df):
+    return df.select("u", F.spark_partition_id().alias("p"))
+
+
+class TestHashLayout:
+    """``to_spark_stream(..., num_partitions=n)`` lays the rows out as
+    ``repartition(n, "u")`` does, without an exchange."""
+
+    def test_numpy_hash_equals_spark_hash(self, spark):
+        vals = [0, -1, 2**31, -2**63, 2**63 - 1, 2**32, -123456789012, *range(-40, 60)]
+        df = spark.createDataFrame([(v,) for v in vals], "u bigint")
+        want = [r[0] for r in df.select(F.hash("u")).collect()]
+        assert spark_hash_long(np.array(vals, dtype=np.int64)).tolist() == want
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_layout_equals_repartition(self, spark, graph, n, capsys):
+        df = to_spark_stream(spark, graph, num_partitions=n)
+        want = _tags(to_spark_stream(spark, graph).repartition(n, "u"))
+        got = _tags(df).collect()  # partition by partition, rows in order
+        assert df.rdd.getNumPartitions() == n
+        assert dict(got) == dict(want.collect())
+        assert len(got) == graph.n_left
+        assert all(a.p < b.p or a.p == b.p and a.u < b.u for a, b in zip(got, got[1:]))
+        assert {r.u: r.neighbors for r in df.collect()} == {
+            u: a.tolist() for u, a in enumerate(graph.adj)}
+        assert "Exchange" not in _plan(_tags(df), capsys)
+        assert "Exchange" in _plan(want, capsys)
+
+    @pytest.mark.parametrize("n_left", [0, 3])
+    def test_more_partitions_than_rows(self, spark, n_left, capsys):
+        """Partitions after the last row exist too, and an empty
+        partition yields no coreset."""
+        n = 8
+        adj = [np.array([u, u + 1], dtype=np.int64) for u in range(n_left)]
+        g = sd.BipartiteGraph(n_left, n_left + 1, adj)
+        part = spark_hash_long(np.arange(n_left)) % n
+        assert n_left == 0 or part.max() < n - 1  # trailing empty partitions
+        df = to_spark_stream(spark, g, num_partitions=n)
+        assert df.rdd.getNumPartitions() == n
+        assert dict(_tags(df).collect()) == dict(enumerate(part.tolist()))
+        assert "Exchange" not in _plan(_tags(df), capsys)
+        params = SofaParams(k=1, c_max=4, mg_capacity=8)
+        want = []
+        for p in range(n):
+            us = np.flatnonzero(part == p)
+            if len(us):
+                want += sofa_pass([adj[u].tolist() for u in us], params, m_hint=len(us)).centers
+        assert centers_of(collect_partition_coresets(df, params)) == centers_of(want)
