@@ -11,7 +11,7 @@ emits, per center c, the right cluster
 Theorem 1 regime (p in [1/2, .99], q <~ ps/n, |V_i| >= K log n,
 |U_i| >= K log n, pairwise |V_i Δ V_j| >= K' s) with alpha ~ 0.49*K4*s
 and theta = 0.75 p makes this recover the planted V_i exactly w.h.p.;
-tests/test_theorem1.py exercises that regime.
+``tests/test_greedy.py::TestTheorem1Regime`` exercises that regime.
 """
 from __future__ import annotations
 

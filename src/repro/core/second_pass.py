@@ -11,12 +11,12 @@ Two variants, matching the paper:
   (§5.3 uses them to prune down to the k best clusters when the
   k-Medians postprocessing step was skipped).
 
-The cover here is the array form, :func:`assign_left_bmf_fast`, which
-covers a block of rows in rounds (each active row picks once per round);
-the set-based pseudocode version it must match exactly is the test
-oracle in ``tests/second_pass_reference.py``.
-``repro.spark.second_pass_df`` runs the same cover inside each partition
-of the stream.
+Both, and the metrics of ``repro.core.bmf``, read one index of the right
+clusters, :class:`_ClusterIndex`, a block of rows at a time; the §4.2
+cover :func:`assign_left_bmf_fast` covers a block in rounds. The
+set-based pseudocode versions are the test oracles in
+``tests/second_pass_reference.py``; ``repro.spark.second_pass_df`` runs
+the same cover inside each partition of the stream.
 """
 from __future__ import annotations
 
@@ -31,25 +31,20 @@ def assign_left_biclustering(
     stream: Iterable[Sequence[int]],
     right_clusters: Sequence[Sequence[int]],
 ) -> List[int]:
-    """§4.1: one cluster index per left vertex (argmax relative overlap).
-
-    Empty right clusters never win (relative overlap treated as -inf);
-    a vertex with zero overlap everywhere still gets the argmax (index
-    of the first maximal ratio, i.e. 0 overlap / size), matching the
-    paper's formulation where every u is assigned somewhere. With no
-    clusters at all there is nothing to assign to, and the result is
-    ``[]``.
+    """§4.1: one cluster index per left vertex, the first argmax of the
+    relative overlap |Γ(u) ∩ Ṽ_i| / |Ṽ_i| (an empty cluster is -inf and
+    never wins; zero overlap everywhere still assigns u somewhere, as in
+    the paper). With no clusters there is nothing to assign to: ``[]``.
     """
-    vsets = [set(int(v) for v in vc) for vc in right_clusters]
-    if not vsets:
+    if not len(right_clusters):
         return []
-    sizes = np.asarray([max(1, len(s)) for s in vsets], dtype=np.float64)
+    index = _ClusterIndex(right_clusters)
+    sizes, empty = np.maximum(index.sizes, 1), index.sizes == 0
     out: List[int] = []
-    for nbrs in stream:
-        gu = set(int(v) for v in nbrs)
-        ratios = np.asarray([len(gu & s) for s in vsets], dtype=np.float64) / sizes
-        ratios[[i for i, s in enumerate(vsets) if not s]] = -np.inf
-        out.append(int(np.argmax(ratios)))
+    for nb, _, _, x in index.blocks(stream):
+        ratios = index.overlap(nb, x) / sizes
+        ratios[:, empty] = -np.inf
+        out += ratios.argmax(axis=1).tolist()
     return out
 
 
@@ -99,6 +94,43 @@ def _in_sorted(table: np.ndarray, codes: np.ndarray):
     return at, found
 
 
+class _ClusterIndex:
+    """The right clusters as one index for §4.1, §4.2 and
+    ``repro.core.bmf.reconstruction_metrics``: the right ids that lie in
+    some cluster ("keys", numbered by rank), the clusters of each key
+    (``post[ptr[key]:ptr[key + 1]]``, ascending) and the keys of each
+    cluster (``key_of[cptr[c]:cptr[c + 1]]``)."""
+
+    def __init__(self, right_clusters: Sequence[Sequence[int]]):
+        self.k = k = len(right_clusters)
+        members = [np.unique(np.asarray(vc, dtype=np.int64)) for vc in right_clusters]
+        self.sizes = np.asarray([len(m) for m in members], dtype=np.int64)
+        flat = np.concatenate(members) if k else np.empty(0, dtype=np.int64)
+        self.keys, self.key_of = np.unique(flat, return_inverse=True)
+        self.nkeys = max(len(self.keys), 1)
+        order = np.argsort(self.key_of, kind="stable")
+        self.post = np.repeat(np.arange(k), self.sizes)[order]
+        self.ptr = np.searchsorted(self.key_of[order], np.arange(len(self.keys) + 1))
+        self.cptr = np.concatenate([[0], np.cumsum(self.sizes)])
+
+    def blocks(self, rows: Iterable[Sequence[int]]):
+        """Per ``_BLOCK_ROWS`` rows: their number, each id's row and value,
+        and X, the ids that are keys as sorted ``row * nkeys + key`` codes."""
+        rows_iter = iter(rows)
+        while block := [np.asarray(r, dtype=np.int64) for r in islice(rows_iter, _BLOCK_ROWS)]:
+            vals = np.concatenate(block)
+            row = np.repeat(np.arange(len(block)), [len(a) for a in block])
+            pos, hit = _in_sorted(self.keys, vals)
+            yield len(block), row, vals, np.unique(row[hit] * self.nkeys + pos[hit])
+
+    def overlap(self, nb: int, x: np.ndarray) -> np.ndarray:
+        """|Γ(u) ∩ V_c| of a block's ``nb`` rows (codes ``x``), (nb, k)."""
+        prow, pkey = np.divmod(x, self.nkeys)
+        clusters, cnt = _gather(self.ptr, self.post, pkey)
+        cells = np.repeat(prow, cnt) * self.k + clusters
+        return np.bincount(cells, minlength=nb * self.k).reshape(nb, self.k)
+
+
 def assign_left_bmf_fast(
     stream: Iterable[Sequence[int]],
     right_clusters: Sequence[Sequence[int]],
@@ -107,12 +139,10 @@ def assign_left_bmf_fast(
     cluster until none has positive score (the set-based reference's
     output, exactly).
 
-    Right ids that lie in some cluster are numbered by rank ("keys"); a
-    CSR index maps each key to the clusters containing it. The rows of a
-    block of ``_BLOCK_ROWS`` vertices are covered together. With X = Γ(u)
-    and Y the union of the clusters u chose so far, row i of the array
-    ``S`` holds score(V_c | X, Y) = A_c - B_c of the i-th active row for
-    every cluster c, with A_c = |V_c ∩ (X \\ Y)| and
+    The rows of a block of :class:`_ClusterIndex` are covered together.
+    With X = Γ(u) and Y the union of the clusters u chose so far, row i
+    of the array ``S`` holds score(V_c | X, Y) = A_c - B_c of the i-th
+    active row for every cluster c, with A_c = |V_c ∩ (X \\ Y)| and
     B_c = |V_c \\ (X ∪ Y)| (small integers, exact as float64). Initially
     S = 2|V_c ∩ X| - |V_c|, from one ``bincount`` over the block's
     (row, cluster) postings. Then, in rounds, every active row picks its
@@ -125,34 +155,13 @@ def assign_left_bmf_fast(
     and is never picked again. X and Y are sorted ``row * |keys| + key``
     codes, so memory is O(block * k + Σ|V_c| + Σ|Γ(u)|) per block.
     """
-    k = len(right_clusters)
-    members = [np.unique(np.asarray(vc, dtype=np.int64)) for vc in right_clusters]
-    sizes = np.asarray([len(m) for m in members], dtype=np.int64)
-    flat = np.concatenate(members) if k else np.empty(0, dtype=np.int64)
-    keys, key_of = np.unique(flat, return_inverse=True)
-    nkeys = max(len(keys), 1)
-    order = np.argsort(key_of, kind="stable")
-    post = np.repeat(np.arange(k), sizes)[order]  # clusters of each key, ascending
-    ptr = np.searchsorted(key_of[order], np.arange(len(keys) + 1))
-    cptr = np.concatenate([[0], np.cumsum(sizes)])  # keys of cluster c: key_of[cptr[c]:cptr[c+1]]
-
+    index = _ClusterIndex(right_clusters)
+    k, nkeys, sizes = index.k, index.nkeys, index.sizes
     totals = np.zeros(k, dtype=np.float64)
     memberships: List[List[int]] = []
     choice_scores: List[List[float]] = []
-    rows_iter = iter(stream)
-    while rows := list(islice(rows_iter, _BLOCK_ROWS)):
-        nb = len(rows)
-        ids = [np.asarray(r, dtype=np.int64) for r in rows]
-        vals = np.concatenate(ids)
-        row = np.repeat(np.arange(nb), [len(a) for a in ids])
-        pos = np.searchsorted(keys, vals)
-        hit = pos < len(keys)
-        hit[hit] = keys[pos[hit]] == vals[hit]
-        x = np.unique(row[hit] * nkeys + pos[hit])  # X as sorted codes
-        prow, pkey = np.divmod(x, nkeys)
-        pclusters, pcnt = _gather(ptr, post, pkey)
-        overlap = np.bincount(np.repeat(prow, pcnt) * k + pclusters, minlength=nb * k)
-        S = (2 * overlap.reshape(nb, k) - sizes).astype(np.float64)
+    for nb, _, _, x in index.blocks(stream):
+        S = (2 * index.overlap(nb, x) - sizes).astype(np.float64)
         act = np.flatnonzero(S.max(axis=1, initial=0) > 0)
         S = S[act]  # row i holds the scores of block row act[i]
         y = np.empty(0, dtype=np.int64)
@@ -165,14 +174,14 @@ def assign_left_bmf_fast(
                 if not len(act):
                     break
             picked.append((act, j, sj))
-            ck, cnt = _gather(cptr, key_of, j)
+            ck, cnt = _gather(index.cptr, index.key_of, j)
             local = np.repeat(np.arange(len(act)), cnt)
             code = act[local] * nkeys + ck
             at, in_y = _in_sorted(y, code)
             y = np.insert(y, at[~in_y], code[~in_y])  # codes ascend, so y stays sorted
             local, moved = local[~in_y], ck[~in_y]
             in_x = _in_sorted(x, code[~in_y])[1]
-            moved_c, mcnt = _gather(ptr, post, moved)
+            moved_c, mcnt = _gather(index.ptr, index.post, moved)
             S += np.bincount(
                 np.repeat(local, mcnt) * k + moved_c,
                 weights=np.repeat(np.where(in_x, -1.0, 1.0), mcnt),

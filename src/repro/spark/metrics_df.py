@@ -1,56 +1,54 @@
-"""Reconstruction metrics as Spark SQL joins (paper §6.2 measures).
+"""Reconstruction metrics as one Spark operator (paper §6.2 measures).
 
-Relative Hamming gain and recall compare the biadjacency matrix B
-against B̃ = L ∘ R. Neither matrix is ever materialized densely: B is
-the edge list, and B̃'s non-zero cells are the union of rectangles
-Ũ_i × Ṽ_i, produced by joining the left-membership table with the
-right-cluster table and deduplicating. The quantities
-
-    ones   = |{B = 1}|             (edge count)
-    tp     = |{B = 1 ∧ B̃ = 1}|    (edges ∩ reconstructed cells)
-    fp     = |{B = 0 ∧ B̃ = 1}|    (reconstructed cells − edges)
-    errors = (ones − tp) + fp      (symmetric difference)
-
-give gain = 1 − errors/ones and recall = tp/ones — exactly the paper's
-definitions, computed by :class:`repro.core.bmf.ReconstructionMetrics`
-(re-exported here as ``SparkReconstruction``). Every aggregate is plain
-relational algebra, so the tests oracle-check these against DuckDB SQL
-on the same inputs.
+B and B̃ = L ∘ R are never materialized. Edges and memberships become
+one neighbor and one cluster list per left vertex, full-outer-joined on
+``u``; a ``mapInArrow`` operator decodes each Arrow batch with
+:func:`~repro.spark.stream_df.arrival_order` and counts it with
+:func:`repro.core.bmf.reconstruction_metrics` (cluster table collected
+once, captured in the closure); a final sum adds the batches' (ones, tp,
+fp) up. ``SparkReconstruction`` is :class:`repro.core.bmf.ReconstructionMetrics`.
 """
 from __future__ import annotations
 
+from typing import Iterator
+
+import numpy as np
+import pyarrow as pa
 import pyspark.sql.functions as F
 from pyspark.sql import DataFrame
 
 from repro.core.bmf import ReconstructionMetrics as SparkReconstruction  # noqa: F401
-
-
-def reconstructed_cells_df(membership_df: DataFrame, clusters_df: DataFrame) -> DataFrame:
-    """Distinct non-zero cells (u, v) of B̃ = L ∘ R: the Boolean matrix
-    product is exactly 'u and v share at least one cluster'."""
-    return (
-        membership_df.select("u", "cluster")
-        .join(clusters_df, "cluster")
-        .select("u", "v")
-        .distinct()
-    )
+from repro.core.bmf import reconstruction_metrics
+from repro.spark.stream_df import arrival_order, keep_zip_directories
 
 
 def metrics_summary_df(
     edges_df: DataFrame, membership_df: DataFrame, clusters_df: DataFrame
 ) -> DataFrame:
     """Single-row DataFrame (ones, tp, fp): the counters of
-    :class:`SparkReconstruction` from one Catalyst plan and one collect;
-    zeros when there are neither edges nor reconstructed cells."""
-    cells = reconstructed_cells_df(membership_df, clusters_df)
-    edges = edges_df.select("u", "v").distinct()
-    both = edges.withColumn("in_b", F.lit(1)).join(
-        cells.withColumn("in_bt", F.lit(1)), ["u", "v"], "full_outer"
+    :class:`SparkReconstruction`, zeros on an edgeless, uncovered stream.
+    Duplicate edges count once; a membership of a cluster with no rows in
+    ``clusters_df`` covers nothing."""
+    cluster, v = (c.to_numpy() for c in clusters_df.select("cluster", "v").toArrow().columns)
+    k = int(cluster.max(initial=-1)) + 1
+    clusters = np.split(v[np.argsort(cluster, kind="stable")], np.cumsum(np.bincount(cluster))[:-1])
+
+    def run(batches: Iterator[pa.RecordBatch]) -> Iterator[pa.RecordBatch]:
+        keep_zip_directories()
+        for batch in batches:
+            table = pa.Table.from_batches([batch])
+            adj = arrival_order(table.select(["u", "neighbors"]))[1]
+            mems = arrival_order(table.select(["u", "clusters"]).rename_columns(["u", "neighbors"]))[1]
+            met = reconstruction_metrics(adj, mems, clusters)
+            yield pa.RecordBatch.from_pydict(
+                {"ones": [met.ones], "tp": [met.true_positives], "fp": [met.false_positives]})
+
+    rows = edges_df.groupBy("u").agg(F.collect_list("v").alias("neighbors")).join(
+        membership_df.where(F.col("cluster").between(0, k - 1))
+        .groupBy("u").agg(F.collect_list("cluster").alias("clusters")),
+        "u", "full_outer",
     )
-    in_b, in_bt = F.coalesce("in_b", F.lit(0)), F.coalesce("in_bt", F.lit(0))
     # coalesce: the sum over no rows (an edgeless, uncovered stream) is null
-    return both.agg(
-        F.coalesce(F.sum(in_b), F.lit(0)).alias("ones"),
-        F.coalesce(F.sum(in_b * in_bt), F.lit(0)).alias("tp"),
-        F.coalesce(F.sum((F.lit(1) - in_b) * in_bt), F.lit(0)).alias("fp"),
+    return rows.mapInArrow(run, schema="ones bigint, tp bigint, fp bigint").agg(
+        *(F.coalesce(F.sum(c), F.lit(0)).alias(c) for c in ("ones", "tp", "fp"))
     )

@@ -1,17 +1,12 @@
 """Second pass over the stream as Spark dataflow (paper §4.2).
 
-The BMF greedy cover (§4.2) is embarrassingly parallel over the left
-vertices but iterative per vertex, so it is a mapInArrow operator over
-the stream: each Arrow batch is decoded by
-:func:`~repro.spark.stream_df.arrival_order` (the first passes'
-decoder, a null list read as empty) and covered by the array cover
-:func:`~repro.core.second_pass.assign_left_bmf_fast`, with the (small,
-O(k s)) cluster table broadcast in the closure; per (u, chosen cluster)
-rows carry the score contribution so cluster totals (needed by §5.3
-pruning) are a groupBy away. The §4.1 biclustering assignment has one
-implementation, the sequential
-:func:`~repro.core.second_pass.assign_left_biclustering` that the Fig. 1
-job calls.
+The BMF greedy cover is parallel over the left vertices but iterative
+per vertex, so it is a mapInArrow operator over the stream: each Arrow
+batch is decoded by :func:`~repro.spark.stream_df.arrival_order` and
+covered by :func:`~repro.core.second_pass.assign_left_bmf_fast`, the
+cluster table captured in the closure. Rows (u, cluster, sc) carry each
+pick's score; §5.3 pruning sums them per cluster as a window in the same
+scan. §4.1 runs only sequentially (the Fig. 1 job).
 """
 from __future__ import annotations
 
@@ -60,11 +55,6 @@ def assign_left_bmf_df(
             })
 
     return stream_df.mapInArrow(run, schema="u bigint, cluster bigint, sc double")
-
-
-def cluster_scores_df(membership_df: DataFrame) -> DataFrame:
-    """Total §5.3 cover score per cluster: (cluster, total_score)."""
-    return membership_df.groupBy("cluster").agg(F.sum("sc").alias("total_score"))
 
 
 def prune_membership_to_top_k(membership_df: DataFrame, k: int) -> DataFrame:

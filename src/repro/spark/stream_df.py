@@ -126,7 +126,7 @@ def arrival_order(table: pa.Table) -> tuple[list[int], list[list[int]]]:
     order = np.argsort(us, kind="stable").tolist()
     lists = table.column("neighbors").combine_chunks()
     offsets = lists.offsets.to_numpy().tolist()
-    values = lists.values.tolist()
+    values = lists.values.to_numpy().tolist()  # pyarrow's own tolist is ~15x slower
     valid = lists.is_valid().to_numpy(zero_copy_only=False).tolist()
     return us[order].tolist(), [
         values[offsets[i]:offsets[i + 1]] if valid[i] else [] for i in order

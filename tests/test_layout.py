@@ -96,7 +96,8 @@ def test_map_in_arrow_functions_keep_zip_directories():
     zip archive on the worker's path (stream_df docstring): each function
     passed to ``mapInArrow`` calls it first."""
     found = _map_in_arrow_functions()
-    assert {m for m, _ in found} >= {"spark/distributed_sofa.py", "spark/second_pass_df.py"}
+    assert {m for m, _ in found} >= {
+        "spark/distributed_sofa.py", "spark/second_pass_df.py", "spark/metrics_df.py"}
     for module, fn in found:
         body = fn.body
         if isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):

@@ -8,8 +8,10 @@ from repro.core.second_pass import (
     assign_left_bmf_fast,
     prune_to_top_k,
 )
+from repro.eval.datasets import DATASET_NAMES, load_dataset
 from repro.eval.quality import jaccard_quality, labels_to_clusters
 
+from . import second_pass_reference as reference
 from .second_pass_reference import assign_left_bmf, score
 
 
@@ -72,6 +74,24 @@ class TestBiclusteringAssignment:
         )
         got = labels_to_clusters(labels)
         assert jaccard_quality(g.left_clusters, got) > 0.95
+
+
+@pytest.mark.parametrize("dataset", DATASET_NAMES)
+def test_standin_biclustering_matches_reference(dataset):
+    """The array §4.1 assignment equals the set-based oracle on a whole
+    stand-in stream: over its planted right clusters with an empty
+    cluster inserted first and in the middle, over empty clusters only
+    (every label 0), and over no clusters (``[]``)."""
+    g = load_dataset(dataset)
+    stream = [a.tolist() for a in g.adj]
+    planted = [c.tolist() for c in g.right_clusters]
+    half = len(planted) // 2
+    for clusters in ([[]] + planted[:half] + [[]] + planted[half:], [[]] * 3, []):
+        got = assign_left_biclustering(stream, clusters)
+        assert got == reference.assign_left_biclustering(stream, clusters)
+    assert assign_left_biclustering(stream, [[]] * 3) == [0] * g.n_left
+    labels = assign_left_biclustering(stream, [[]] + planted)
+    assert 0 not in labels and len(set(labels)) > 1
 
 
 class TestBmfAssignment:

@@ -1,11 +1,15 @@
 """Exact-equivalence tests: fast inverted-index §4.2 cover vs the
-reference implementation (they must agree bit-for-bit)."""
+reference implementation (they must agree bit-for-bit), and the cover
+tied to the reconstruction metrics."""
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import synth_data as sd
+from repro.core.bmf import reconstruction_metrics
 from repro.core.second_pass import _BLOCK_ROWS, assign_left_bmf_fast
 from repro.core.sofa import sofa_pass
 from repro.core.thresholds import LINE_SEARCH_THETAS
@@ -131,6 +135,13 @@ class TestBmfEquivalence:
         assert np.allclose(fast.cluster_scores, ref.cluster_scores)
 
 
+@lru_cache(maxsize=None)
+def first_pass(dataset: str, k: int):
+    """The stand-in's BMF first pass at k (shared by the tests below)."""
+    g = load_dataset(dataset)
+    return sofa_pass([a.tolist() for a in g.adj], sofa_params_for(g, k), m_hint=g.n_left)
+
+
 @pytest.mark.parametrize("dataset", DATASET_NAMES)
 def test_standin_line_search_covers_match_reference(dataset):
     """The line search's covers on a stand-in: the BMF first pass's
@@ -141,10 +152,26 @@ def test_standin_line_search_covers_match_reference(dataset):
     rows = [a.tolist() for a in g.adj[::g.n_left // 48]]
     most_picks = 0
     for k in K_GRID:
-        res = sofa_pass([a.tolist() for a in g.adj], sofa_params_for(g, k), m_hint=g.n_left)
+        res = first_pass(dataset, k)
         for theta in LINE_SEARCH_THETAS:
             clusters = [gr.right_cluster(theta).tolist() for gr in res.groups]
             fast = assign_left_bmf_fast(rows, clusters)
             assert_same(fast, assign_left_bmf(rows, clusters))
             most_picks = max(most_picks, *map(len, fast.memberships))
     assert most_picks >= 2
+
+
+@pytest.mark.parametrize("k", K_GRID)
+@pytest.mark.parametrize("dataset", DATASET_NAMES)
+def test_unpruned_cover_scores_sum_to_tp_minus_fp(dataset, k):
+    """The §4.2 score of a pick is the change it makes to tp − fp of the
+    row, so over an unpruned cover the choice scores of all rows add up
+    to the reconstruction metrics' tp − fp, at every line-search θ."""
+    g = load_dataset(dataset)
+    res = first_pass(dataset, k)
+    for theta in LINE_SEARCH_THETAS:
+        clusters = [gr.right_cluster(theta).tolist() for gr in res.groups]
+        cover = assign_left_bmf_fast(g.adj, clusters)
+        met = reconstruction_metrics(g.adj, cover.memberships, clusters)
+        assert sum(map(sum, cover.choice_scores)) == met.true_positives - met.false_positives
+        assert met.true_positives > 0

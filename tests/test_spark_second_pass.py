@@ -1,17 +1,17 @@
-"""Tests for the Spark second pass (§4.2 as dataflow), oracle-checked
-against DuckDB and against the set-based reference cover."""
+"""Tests for the Spark second pass (§4.2 as dataflow), checked against
+the set-based reference cover."""
+import pyspark.sql.functions as F
 import pytest
 
 from repro import synth_data as sd
 from repro.core.second_pass import assign_left_bmf_fast
-from .oracle import assert_equivalent
+from repro.spark.metrics_df import metrics_summary_df
 from repro.spark.second_pass_df import (
     assign_left_bmf_df,
-    cluster_scores_df,
     clusters_to_df,
     prune_membership_to_top_k,
 )
-from repro.spark.stream_df import STREAM_SCHEMA, to_spark_stream
+from repro.spark.stream_df import STREAM_SCHEMA, edges_from_stream, to_spark_stream
 
 from .second_pass_reference import assign_left_bmf
 
@@ -82,20 +82,11 @@ class TestBmfAssignment:
         mdf = assign_left_bmf_df(stream, clusters)
         got = {
             r["cluster"]: r["total_score"]
-            for r in cluster_scores_df(mdf).collect()
+            for r in mdf.groupBy("cluster").agg(F.sum("sc").alias("total_score")).collect()
         }
         want = assign_left_bmf([a.tolist() for a in graph.adj], clusters)
         for i, s in enumerate(want.cluster_scores):
             assert got.get(i, 0.0) == pytest.approx(s)
-
-    def test_scores_aggregate_oracle(self, spark, stream, clusters):
-        mdf = assign_left_bmf_df(stream, clusters).cache()
-        mpdf = mdf.toPandas()
-        assert_equivalent(
-            cluster_scores_df(mdf),
-            "SELECT cluster, sum(sc) AS total_score FROM m GROUP BY cluster",
-            m=mpdf,
-        )
 
     def test_prune_runs_the_cover_once(self, spark, graph, clusters):
         """The pruned plan holds one Python cover operator: the cluster
@@ -107,6 +98,23 @@ class TestBmfAssignment:
         plan = pruned._jdf.queryExecution().executedPlan().toString()
         assert plan.count("MapInArrow") == 1
 
+    def test_metrics_plan_has_one_python_operator(self, spark, graph, clusters):
+        """The metrics plan runs one Python operator over the per-vertex
+        neighbor and membership lists; B̃ is never joined out. (Inputs
+        with no Python operator of their own, so the plan shows only the
+        metrics'.)"""
+        rows = [(u, a.tolist()) for u, a in enumerate(graph.adj)]
+        stream = spark.createDataFrame(rows, schema=STREAM_SCHEMA)
+        mdf = spark.createDataFrame(
+            [(u, c) for u, mem in enumerate(assign_left_bmf_fast(
+                [r for _, r in rows], clusters).memberships) for c in mem],
+            schema="u bigint, cluster bigint",
+        )
+        summary = metrics_summary_df(
+            edges_from_stream(stream), mdf, clusters_to_df(spark, clusters))
+        plan = summary._jdf.queryExecution().executedPlan().toString()
+        assert plan.count("MapInArrow") == 1
+
     def test_prune_to_top_k(self, spark, stream, clusters):
         mdf = assign_left_bmf_df(stream, clusters).cache()
         pruned = prune_membership_to_top_k(mdf, 2)
@@ -115,7 +123,7 @@ class TestBmfAssignment:
         # kept clusters are the top-2 by total score
         scores = {
             r["cluster"]: r["total_score"]
-            for r in cluster_scores_df(mdf).collect()
+            for r in mdf.groupBy("cluster").agg(F.sum("sc").alias("total_score")).collect()
         }
         top2 = sorted(scores, key=lambda c: (-scores[c], c))[:2]
         assert kept == set(top2)

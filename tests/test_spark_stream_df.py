@@ -1,6 +1,7 @@
 """Tests for stream/edge DataFrame helpers and Table 1 statistics, with
 DuckDB oracle checks on every SQL-expressible aggregate."""
 import numpy as np
+import pyarrow as pa
 import pyspark.sql.functions as F
 import pytest
 
@@ -9,9 +10,11 @@ from .oracle import assert_equivalent
 from repro.core.sofa import SofaParams, sofa_pass
 from repro.spark.distributed_sofa import collect_partition_coresets
 from repro.spark.stream_df import (
+    arrival_order,
     dataset_stats,
     degree_df,
     edges_from_stream,
+    list_array,
     spark_hash_long,
     to_spark_stream,
 )
@@ -152,3 +155,19 @@ class TestHashLayout:
             if len(us):
                 want += sofa_pass([adj[u].tolist() for u in us], params, m_hint=len(us)).centers
         assert centers_of(collect_partition_coresets(df, params)) == centers_of(want)
+
+
+def test_arrival_order_decodes_sliced_chunked_and_null_lists():
+    """Rows sorted by ``u`` (stable), a null list read as ``[]``, values
+    as Python ints, over a table of two chunks, one of them a slice of a
+    larger list array."""
+    lists = list_array([np.array([9, 8]), np.array([], np.int64), np.array([7, 2**40, -3]),
+                        np.array([5])], pa.int64())
+    first = pa.record_batch([pa.array([3, 1]), lists.slice(2, 2)], names=["u", "neighbors"])
+    second = pa.record_batch([pa.array([2, 1, 0]), pa.array([[4], None, [6, 6]], pa.list_(pa.int64()))],
+                             names=["u", "neighbors"])
+    table = pa.Table.from_batches([first, second])
+    us, rows = arrival_order(table)
+    assert us == [0, 1, 1, 2, 3]
+    assert rows == [[6, 6], [5], [], [4], [7, 2**40, -3]]
+    assert all(type(v) is int for r in rows for v in r)

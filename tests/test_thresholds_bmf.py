@@ -20,6 +20,7 @@ from repro.core.thresholds import (
 from repro.eval.datasets import load_dataset
 from repro.eval.harness import sofa_params_for
 
+from . import second_pass_reference as reference
 from .second_pass_reference import assign_left_bmf
 
 
@@ -202,3 +203,29 @@ class TestReconstructionMetrics:
         adj = [np.array([1])]
         m = reconstruction_metrics(adj, [[0]], [list(range(10))])
         assert m.relative_hamming_gain < 0
+
+    def test_awkward_inputs_match_set_oracle(self):
+        """Duplicate ids in rows, clusters and memberships, ids in no
+        cluster (huge, negative), empty rows and clusters, no clusters."""
+        adj = [[1, 1, 2, 10**12], [], [-4, 5, 5], [7], [2, 3]]
+        memberships = [[0, 0, 2], [1], [2, 1], [], [3]]
+        clusters = [[1, 2, 2], [2, 3], [5, 6, 5], []]
+        got = reconstruction_metrics(adj, memberships, clusters)
+        assert got == reference.reconstruction_metrics(adj, memberships, clusters)
+        assert (got.ones, got.true_positives, got.false_positives) == (8, 3, 7)
+        none = reconstruction_metrics(adj, [[]] * 5, [])
+        assert none == reference.reconstruction_metrics(adj, [[]] * 5, []) == (
+            type(none)(8, 0, 0))
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_set_oracle_across_blocks(self, seed):
+        """Random rows and covers, more than one block of the cluster
+        index (the block size is 1024 rows)."""
+        rng = np.random.default_rng(seed)
+        m_ = int(rng.integers(0, 2500))
+        adj = [rng.integers(0, 40, rng.integers(0, 8)) for _ in range(m_)]
+        clusters = [rng.integers(0, 40, rng.integers(0, 10)).tolist() for _ in range(5)]
+        memberships = [rng.integers(0, 5, rng.integers(0, 3)).tolist() for _ in range(m_)]
+        assert reconstruction_metrics(adj, memberships, clusters) == (
+            reference.reconstruction_metrics(adj, memberships, clusters))
