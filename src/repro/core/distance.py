@@ -19,7 +19,8 @@ Algorithm 2) for a block of B points at once: one ``bincount`` over
 their posting lists gives all B×C overlaps, and a first-minimum
 ``argmin`` per row of the dense B×C distances picks the nearest.
 ``block_distances`` gives the B×B distances among the block's own
-points, which a point opened mid-block needs.
+points, which a point opened mid-block needs, from the same query with
+the block's points posted as the centers.
 """
 from __future__ import annotations
 
@@ -70,33 +71,35 @@ class CenterIndex:
             ids, owner = np.concatenate([self._ids, *new]), np.concatenate([self._owner, owner])
             order = np.argsort(ids, kind="stable")
             self._ids, self._owner, self._n_posted = ids[order], owner[order], n_c
-        b, sizes = len(supports), np.asarray([len(s) for s in supports], dtype=np.int64)
-        vals = np.concatenate(supports)
-        lo = np.searchsorted(self._ids, vals, "left")
-        n_hit = np.searchsorted(self._ids, vals, "right") - lo  # postings per value
-        at = np.repeat(lo - np.cumsum(n_hit) + n_hit, n_hit) + np.arange(n_hit.sum())
-        row = np.repeat(np.repeat(np.arange(b), sizes), n_hit)
-        ov = np.bincount(row * n_c + self._owner[at], minlength=b * n_c).reshape(b, n_c)
-        a, c_sizes = self.alpha, np.asarray([len(s) for s in self._supports])
-        dist = sizes[:, None] + a * c_sizes - (1.0 + a) * ov
+        c_sizes = np.asarray([len(s) for s in self._supports])
+        dist = _distances(self._ids, self._owner, c_sizes, supports, self.alpha)
         ci = np.argmin(dist, axis=1)
-        return ci, np.maximum(dist[np.arange(b), ci], 0.0)
+        return ci, np.maximum(dist[np.arange(len(supports)), ci], 0.0)
 
 
 def block_distances(points: Sequence[np.ndarray], alpha: float) -> np.ndarray:
     """All distances within a block of point supports (sorted, no
     duplicates): entry ``[j, i]`` is point ``i``'s distance to point ``j``
-    as a center, clamped at 0. One ``bincount`` over the pairs of rows
-    that share an id gives every overlap."""
-    b = len(points)
+    as a center, clamped at 0. The points are posted as the centers of
+    :func:`_distances`, whose B×B result this transposes."""
     sizes = np.asarray([len(p) for p in points], dtype=np.int64)
-    vals = np.concatenate([np.empty(0, np.int64), *points])
-    order = np.argsort(vals, kind="stable")
-    rows, vals = np.repeat(np.arange(b), sizes)[order], vals[order]
-    start = np.flatnonzero(np.diff(vals, prepend=vals[:1] - 1))  # first row of each id
-    g = np.diff(start, append=len(vals))  # rows sharing each id
-    n_pair = np.repeat(g, g)  # a row pairs with every row of its id, itself included
-    pair_start = np.repeat(np.cumsum(n_pair) - n_pair, n_pair)
-    partner = np.repeat(np.repeat(start, g), n_pair) + np.arange(n_pair.sum()) - pair_start
-    ov = np.bincount(np.repeat(rows, n_pair) * b + rows[partner], minlength=b * b).reshape(b, b)
-    return np.maximum(sizes + (alpha * sizes)[:, None] - (1.0 + alpha) * ov, 0.0)
+    ids = np.concatenate([np.empty(0, np.int64), *points])
+    order = np.argsort(ids, kind="stable")
+    owner = np.repeat(np.arange(len(points)), sizes)
+    return np.maximum(_distances(ids[order], owner[order], sizes, points, alpha), 0.0).T
+
+
+def _distances(ids, owner, c_sizes, supports, alpha: float) -> np.ndarray:
+    """The B×C asymmetric distances of ``supports`` to the centers whose
+    postings are ``(ids, owner)``, sorted by id (``c_sizes`` their sizes):
+    one ``searchsorted`` finds each support value's postings and one
+    ``bincount`` counts the overlaps, unclamped."""
+    b, n_c = len(supports), len(c_sizes)
+    sizes = np.asarray([len(s) for s in supports], dtype=np.int64)
+    vals = np.concatenate([np.empty(0, np.int64), *supports])
+    lo = np.searchsorted(ids, vals, "left")
+    n_hit = np.searchsorted(ids, vals, "right") - lo  # postings per value
+    at = np.repeat(lo - np.cumsum(n_hit) + n_hit, n_hit) + np.arange(n_hit.sum())
+    row = np.repeat(np.repeat(np.arange(b), sizes), n_hit)
+    ov = np.bincount(row * n_c + owner[at], minlength=b * n_c).reshape(b, n_c)
+    return sizes[:, None] + alpha * c_sizes - (1.0 + alpha) * ov

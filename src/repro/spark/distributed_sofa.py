@@ -106,9 +106,8 @@ def _partition_runner(params: SofaParams):
     partition over its rows (in arrival order) and emit its centers.
 
     The input holds the rows of one or more logical partitions, tagged
-    by ``part``, each partition's rows in one run (a table without the
-    tag is one partition). Only the current partition's rows are held;
-    a batch that spans two tags is split."""
+    by ``part``, each partition's rows in one run. Only the current
+    partition's rows are held; a batch that spans two tags is split."""
 
     def coreset(part: int, batches: List[pa.RecordBatch]) -> pa.RecordBatch:
         table = pa.Table.from_batches(batches)
@@ -121,10 +120,7 @@ def _partition_runner(params: SofaParams):
         keep_zip_directories()
         part, held, done = None, [], set()
         for batch in batches:
-            if _PART in batch.schema.names:
-                tags = batch.column(_PART).to_numpy()
-            else:
-                tags = np.zeros(batch.num_rows, dtype=np.int32)
+            tags = batch.column(_PART).to_numpy()
             starts = np.flatnonzero(np.diff(tags, prepend=-1)).tolist()  # tags are >= 0
             for lo, hi in zip(starts, [*starts[1:], len(tags)]):
                 tag = int(tags[lo])

@@ -3,8 +3,8 @@
 The streaming model delivers left vertices one by one with all incident
 edges; in Spark that is a DataFrame with schema :data:`STREAM_SCHEMA`
 whose row order within a partition is the arrival order. This module
-owns the format: the encoder :func:`to_spark_stream` (Arrow batches,
-optionally laid out as Spark's hash partitioning, with no shuffle) and
+owns the format: the encoder :func:`to_spark_stream` (Arrow batches
+laid out as Spark's hash partitioning, with no shuffle) and
 the decoder :func:`arrival_order`, which every Spark operator over
 the stream (both first passes and the §4.2 cover) calls on its Arrow
 input, a null list read as ``[]``. The Table 1 statistics (|U|, |V|,
@@ -40,22 +40,24 @@ def to_spark_stream(
     The ``neighbors`` column is one Arrow list array over the
     concatenated adjacency arrays.
 
-    With ``num_partitions`` = n the layout equals ``repartition(n, "u")``
-    without its exchange: row ``u`` lies in partition ``pmod(hash(u), n)``
-    (:func:`spark_hash_long`, computed here), the rows of a partition in
-    ``u`` order, and the frame has exactly n partitions. Spark gets one
-    Arrow batch per partition and parallelizes them one per partition
-    (``createDataFrame``'s RDD path, which it takes while
-    ``localRelationThreshold`` is 0). Arrow hands over no empty batch
-    after the last row, so an empty ``range`` of the missing partitions
-    is appended by a union."""
-    us = np.arange(graph.n_left, dtype=np.int64)
+    The layout equals ``repartition(n, "u")`` without its exchange, n =
+    ``num_partitions`` or else ``defaultParallelism``: row ``u`` lies in
+    partition ``pmod(hash(u), n)`` (:func:`spark_hash_long`, computed
+    here), the rows of a partition in ``u`` order, and the frame has
+    exactly n partitions. Spark gets one Arrow batch per partition and
+    parallelizes them one per partition (``createDataFrame``'s RDD path,
+    which it takes while ``localRelationThreshold`` is 0). Arrow hands
+    over no empty batch after the last row, so an empty ``range`` of the
+    missing partitions is appended by a union."""
     if num_partitions is None:
-        batch = _stream_batch(us, graph.adj)
-        return spark.createDataFrame(pa.Table.from_batches([batch]), schema=STREAM_SCHEMA)
+        num_partitions = spark.sparkContext.defaultParallelism
+    us = np.arange(graph.n_left, dtype=np.int64)
     part = spark_hash_long(us) % num_partitions
     order = np.argsort(part, kind="stable")  # by partition, then u
-    batch = _stream_batch(us[order], [graph.adj[u] for u in order])
+    batch = pa.RecordBatch.from_arrays(
+        [pa.array(us[order], pa.int64()), list_array([graph.adj[u] for u in order], pa.int64())],
+        names=["u", "neighbors"],
+    )
     bounds = np.searchsorted(part[order], np.arange(num_partitions + 1))
     sizes = np.diff(bounds)
     table = pa.Table.from_batches(
@@ -78,13 +80,6 @@ def to_spark_stream(
         df = df.union(spark.range(0, tail, 1, tail).where("id < 0").selectExpr(
             "id AS u", "CAST(NULL AS array<bigint>) AS neighbors"))
     return df
-
-
-def _stream_batch(us: np.ndarray, adj) -> pa.RecordBatch:
-    """The rows ``(us[i], adj[i])`` as one Arrow batch of the stream."""
-    return pa.RecordBatch.from_arrays(
-        [pa.array(us, pa.int64()), list_array(adj, pa.int64())], names=["u", "neighbors"]
-    )
 
 
 def list_array(arrays: Sequence[np.ndarray], type_: pa.DataType) -> pa.ListArray:

@@ -15,12 +15,13 @@ Each micro-batch reaches the driver as one Arrow table
 (``DataFrame.toArrow``) and is pushed vertex by vertex in arrival order
 (``u``) by :func:`~repro.spark.stream_df.push_in_arrival_order`, the
 decoder the partition pass shares; a null list pushes as empty.
-``foreachBatch`` only fetches the table and hands it to one engine
-thread through a one-slot queue, so the engine pushes batch *j* while
-Spark commits it and plans, lists and fetches batch *j + 1*; the pushes
-keep batch order, so the result is the single-threaded one. The driver
-holds at most three micro-batches (one being pushed, one queued, one
-being fetched), each at most ``MAX_FILES_PER_TRIGGER ×
+``foreachBatch`` only fetches the table and submits its push to a
+one-worker executor, so the engine pushes batch *j* while Spark commits
+it and plans, lists and fetches batch *j + 1*; the one worker runs the
+pushes in batch order, so the result is the single-threaded one. Before
+it submits, ``foreachBatch`` waits for the push two batches back, so the
+driver holds at most three micro-batches (one being pushed, one queued,
+one being fetched), each at most ``MAX_FILES_PER_TRIGGER ×
 vertices_per_file`` vertices, whatever the stream's length.
 
 ``availableNow`` triggering processes the backlog and stops, which makes
@@ -31,9 +32,8 @@ from __future__ import annotations
 
 import json
 import os
-import queue
-import threading
 import time
+from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Optional
 
 from pyspark.sql import SparkSession
@@ -94,28 +94,21 @@ def sofa_from_stream_dir(
     Structured Streaming with an availableNow trigger; returns the
     finalized SofaResult once the backlog is drained.
 
-    ``foreachBatch`` only fetches each micro-batch; one engine thread
-    pushes the tables in batch order while Spark runs the next trigger.
-    An engine error stops the query at its next batch and is raised
-    here with its own type. The engine thread is joined before this
-    returns or raises."""
+    ``foreachBatch`` only fetches each micro-batch and submits its push
+    to a one-worker executor, which pushes the tables in batch order
+    while Spark runs the next trigger. An engine error stops the query
+    at the second batch after it and is raised here with its own type.
+    The executor is shut down, every push finished, before this returns
+    or raises."""
     engine = SofaEngine(params, m_hint=m_hint)
-    tables: queue.Queue = queue.Queue(maxsize=1)  # None ends the stream
-    failure: list[Exception] = []
-
-    def push_all() -> None:
-        # Keeps draining after a failure, so a blocked ``put`` returns.
-        while (table := tables.get()) is not None:
-            if not failure:
-                try:
-                    push_in_arrival_order(engine, table)
-                except Exception as exc:
-                    failure.append(exc)
+    pusher = ThreadPoolExecutor(max_workers=1, thread_name_prefix="sofa-engine")
+    pushes: list[Future] = []
 
     def feed(batch_df, batch_id: int) -> None:
-        if failure:
-            raise failure[0]
-        tables.put(batch_df.toArrow())
+        table = batch_df.toArrow()
+        if len(pushes) > 1:
+            pushes[-2].result()  # at most one push queued behind the running one
+        pushes.append(pusher.submit(push_in_arrival_order, engine, table))
 
     reader = (
         spark.readStream.schema(STREAM_SCHEMA)
@@ -125,13 +118,10 @@ def sofa_from_stream_dir(
     writer = reader.writeStream.foreachBatch(feed).trigger(availableNow=True)
     if checkpoint_dir is not None:
         writer = writer.option("checkpointLocation", checkpoint_dir)
-    pusher = threading.Thread(target=push_all, name="sofa-engine", daemon=True)
-    pusher.start()
     try:
         writer.start().awaitTermination()
     finally:
-        tables.put(None)
-        pusher.join()
-        if failure:
-            raise failure[0]
+        pusher.shutdown(wait=True)
+        for push in pushes:  # the first engine error, in its own type
+            push.result()
     return engine.finalize()

@@ -227,10 +227,13 @@ def decode_batches(batches: List[pa.RecordBatch]) -> List[CenterState]:
 
 
 def stream_batch(us, lists) -> pa.RecordBatch:
-    """A ``(u, neighbors)`` Arrow batch with Spark's stream types."""
-    return pa.RecordBatch.from_pydict(
-        {"u": pa.array(us, pa.int64()), "neighbors": pa.array(lists, pa.list_(pa.int64()))}
-    )
+    """A ``(u, neighbors)`` Arrow batch with Spark's stream types, every
+    row tagged as logical partition 0 (``_partition_runner``'s input)."""
+    return pa.RecordBatch.from_pydict({
+        "u": pa.array(us, pa.int64()),
+        "neighbors": pa.array(lists, pa.list_(pa.int64())),
+        "part": pa.array(np.zeros(len(us), dtype=np.int32)),
+    })
 
 
 def run_partition(adj, us, params: SofaParams) -> List[CenterState]:

@@ -266,9 +266,10 @@ def _threads_since(before: set) -> list:
 
 
 class TestPipelinedStream:
-    """The engine thread of ``sofa_from_stream_dir``: exact while it lags
-    behind Spark, its errors reach the caller, and it never outlives the
-    call."""
+    """The engine thread of ``sofa_from_stream_dir`` (a one-worker
+    executor): exact while it lags behind Spark, at most three
+    micro-batches held, its errors reach the caller, and it never
+    outlives the call."""
 
     @pytest.fixture
     def ragged(self, tmp_path):
@@ -310,6 +311,43 @@ class TestPipelinedStream:
         assert_same_result(got, want)
         assert fetched[0] == first_batch and len(fetched) > 3
         assert fetched_by_end_of_first[0] >= 2  # the next batch came in meanwhile
+        assert _threads_since(threads) == []
+
+    def test_at_most_three_batches_held(self, spark, params, ragged, monkeypatch):
+        """A table is held from its fetch until its push finishes: one
+        being pushed, one queued and one being fetched at most, however
+        far the engine lags, and the bound is reached."""
+        g, sdir, threads = ragged
+        held, most, lock = [0], [0], threading.Lock()
+        fetch, push_table = DataFrame.toArrow, structured.push_in_arrival_order
+
+        def counted_fetch(self):
+            table = fetch(self)
+            with lock:
+                held[0] += 1
+                most[0] = max(most[0], held[0])
+            return table
+
+        def counted_push(engine, table):
+            push_table(engine, table)
+            with lock:
+                held[0] -= 1
+
+        class SlowEngine(structured.SofaEngine):
+            n_pushed = 0
+
+            def push(self, nbrs):
+                # the first vertex stalls while Spark runs three triggers ahead
+                time.sleep(3.0 if self.n_pushed == 0 else 0.002)
+                super().push(nbrs)
+                self.n_pushed += 1
+
+        monkeypatch.setattr(DataFrame, "toArrow", counted_fetch)
+        monkeypatch.setattr(structured, "push_in_arrival_order", counted_push)
+        monkeypatch.setattr(structured, "SofaEngine", SlowEngine)
+        res = sofa_from_stream_dir(spark, sdir, params, m_hint=g.n_left)
+        assert res.n_processed == g.n_left
+        assert held == [0] and most == [3]
         assert _threads_since(threads) == []
 
     @pytest.mark.parametrize("fail_at", [10, -1])  # first batch, last vertex
