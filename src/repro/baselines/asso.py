@@ -35,6 +35,7 @@ from typing import List, Sequence
 import numpy as np
 
 from repro.core.bmf import reconstruction_metrics
+from repro.core.distance import densify
 
 DEFAULT_TAU_GRID = (0.2, 0.4, 0.6, 0.8)  # the paper's basso grid
 DEFAULT_BUDGET_BYTES = 512 * 1024 * 1024  # scaled stand-in for the 16 GB workstation
@@ -73,15 +74,6 @@ def estimate_workspace_bytes(m: int, n: int) -> int:
     return 4 * (3 * m * n + 2 * n * n + m * n)
 
 
-def dense_from_adj(adj: Sequence[np.ndarray], n_right: int) -> np.ndarray:
-    """Densify an adjacency list into B (float32 for BLAS matmuls)."""
-    B = np.zeros((len(adj), n_right), dtype=np.float32)
-    for u, nbrs in enumerate(adj):
-        if len(nbrs):
-            B[u, np.asarray(nbrs, dtype=np.int64)] = 1.0
-    return B
-
-
 def asso(
     adj: Sequence[np.ndarray],
     n_right: int,
@@ -100,7 +92,7 @@ def asso(
             f"Asso workspace {ws / 2**20:.0f} MiB exceeds budget "
             f"{budget_bytes / 2**20:.0f} MiB for a {m}x{n} matrix"
         )
-    B = dense_from_adj(adj, n_right)
+    B = densify(adj, np.arange(n_right), np.float32)  # float32 for BLAS matmuls
     flipped = False
     if B.shape[0] > B.shape[1]:
         # paper §6.2: basso is O(k |U|^2 |V|), so flip when |U| > |V|

@@ -17,6 +17,9 @@ from typing import Callable, List, Sequence
 
 import numpy as np
 
+from repro.core.distance import _flat, densify
+from repro.core.kmedians import _l1_dist
+
 from .spectral import (
     SpectralResult,
     dhillon_cocluster,
@@ -46,19 +49,6 @@ class ReductionResult:
     workspace_bytes: int
 
 
-def _subgraph_matrix(
-    adj: Sequence[np.ndarray], sample: np.ndarray, cols: np.ndarray
-) -> np.ndarray:
-    col_pos = {int(v): j for j, v in enumerate(cols)}
-    B = np.zeros((len(sample), len(cols)), dtype=np.float32)
-    for i, u in enumerate(sample):
-        for v in adj[int(u)]:
-            j = col_pos.get(int(v))
-            if j is not None:
-                B[i, j] = 1.0
-    return B
-
-
 def random_subgraph_clusters(
     adj: Sequence[np.ndarray],
     k: int,
@@ -71,17 +61,12 @@ def random_subgraph_clusters(
     """Run the full §5.5 first pass with the given static co-clustering
     ``method`` (e.g. :func:`dhillon_cocluster`)."""
     sample = reservoir_sample_indices(len(adj), m_tilde, seed=seed)
-    # V' with in-sample degrees
-    deg: dict[int, int] = {}
-    for u in sample:
-        for v in adj[int(u)]:
-            deg[int(v)] = deg.get(int(v), 0) + 1
-    vprime = np.asarray(sorted(deg), dtype=np.int64)
-    # V'' = top-ñ by in-sample degree (ties: lower id, deterministic)
-    order = sorted(deg, key=lambda v: (-deg[v], v))
-    vpp = np.asarray(sorted(order[:n_tilde]), dtype=np.int64)
+    rows = [adj[int(u)] for u in sample]
+    # V' with in-sample degrees; V'' = top-ñ by degree (ties: lower id)
+    vprime, deg = np.unique(_flat(rows)[0], return_counts=True)
+    vpp = np.sort(vprime[np.lexsort((vprime, -deg))[:n_tilde]])
 
-    B = _subgraph_matrix(adj, sample, vpp)
+    B = densify(rows, vpp, np.float32)
     res = method(B, k)
     clusters = labels_to_right_clusters(res.col_labels, vpp, k)
 
@@ -89,25 +74,16 @@ def random_subgraph_clusters(
     leftovers = np.setdiff1d(vprime, vpp, assume_unique=True)
     if len(leftovers) and any(clusters):
         # average left-neighborhood per cluster, over the sample's rows
-        col_of = {int(v): j for j, v in enumerate(vpp)}
         avg = np.zeros((k, len(sample)), dtype=np.float64)
-        cnt = np.zeros(k, dtype=np.int64)
+        cnt = np.asarray([len(mem) for mem in clusters])
         for ci, mem in enumerate(clusters):
-            for v in mem:
-                avg[ci] += B[:, col_of[v]]
-                cnt[ci] += 1
-        nonempty = cnt > 0
-        avg[nonempty] /= cnt[nonempty][:, None]
+            if mem:
+                avg[ci] = B[:, np.searchsorted(vpp, mem)].sum(axis=1, dtype=np.float64) / cnt[ci]
         # neighborhood vectors of the leftovers over the sample; C-order
-        # float64, so XV @ avg.T is the same BLAS call (same rounding)
-        XV = np.ascontiguousarray(_subgraph_matrix(adj, sample, leftovers).T, dtype=np.float64)
-        # L1 distance of binary x to real a: sum(a) + deg(x) - 2 x·a
-        dists = (
-            avg.sum(axis=1)[None, :]
-            + XV.sum(axis=1)[:, None]
-            - 2.0 * (XV @ avg.T)
-        )
-        dists[:, ~nonempty] = np.inf
+        # float64, so the distances' X @ avg.T is one BLAS call
+        XV = np.ascontiguousarray(densify(rows, leftovers, np.float64).T)
+        dists = _l1_dist(XV, avg)
+        dists[:, cnt == 0] = np.inf
         for j, v in enumerate(leftovers):
             clusters[int(np.argmin(dists[j]))].append(int(v))
 

@@ -18,7 +18,7 @@ singular vectors:
 Implementation is dense NumPy SVD — the reduction caps the subgraph at
 m̃ = ñ rows/columns, which is exactly why the paper (and we) can afford
 a dense spectral method here and nowhere else. k-means on the embedding
-reuses this repo's weighted Lloyd (L2 on real vectors here).
+is this module's own L2 Lloyd with k-means++ seeding (``_kmeans_real``).
 """
 from __future__ import annotations
 

@@ -19,6 +19,7 @@ from typing import List, Sequence
 
 import numpy as np
 
+from repro.core.distance import densify
 from repro.core.kmedians import kmedians
 
 
@@ -41,18 +42,14 @@ def static_sofa(
     labels = kmedians([a.tolist() for a in adj], k, seed=seed)
     n_clusters = (max(labels) + 1) if labels else 0
     counts = np.zeros((n_clusters, n_right), dtype=np.int64)
-    sizes = np.zeros(n_clusters, dtype=np.int64)
-    for u, nbrs in enumerate(adj):
-        c = labels[u]
-        sizes[c] += 1
-        if len(nbrs):
-            counts[c, np.asarray(nbrs, dtype=np.int64)] += 1
+    np.add.at(counts, np.asarray(labels, np.int64), densify(adj, np.arange(n_right), np.int64))
+    sizes = np.bincount(labels, minlength=n_clusters)
     right = []
     for c in range(n_clusters):
         thr = theta * sizes[c]
         right.append(np.flatnonzero(counts[c] >= thr).astype(np.int64))
     # workspace: dense m x (union support) clustering matrix + exact counts
-    union = len({int(v) for a in adj for v in a})
+    union = np.count_nonzero(counts.any(axis=0))
     ws = 8 * len(adj) * max(1, union) + counts.nbytes
     return StaticSofaResult(
         left_labels=labels, right_clusters=right, workspace_bytes=int(ws)

@@ -23,7 +23,8 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.second_pass import _BLOCK_ROWS, _ClusterIndex, _gather
+from repro.core.distance import _gather
+from repro.core.second_pass import _BLOCK_ROWS, _ClusterIndex
 
 
 @dataclass

@@ -6,7 +6,10 @@ center exceeds ``alpha`` opens a new center, otherwise it is assigned to
 its closest center: the center's Misra–Gries sketch absorbs the vertex's
 neighbor ids and its assignment counter n_c increments. Postprocessing
 emits, per center c, the right cluster
-``V_c = { v : MG(c).estimate(v) >= theta * n_c }``.
+``V_c = { v : MG(c).estimate(v) >= theta * n_c }``. The closest center
+is SOFA's :class:`~repro.core.distance.CenterIndex` query at weight 1
+(plain Hamming) over the vertex's distinct ids; the set-based form is the
+test oracle in ``tests/sofa_reference.py``.
 
 Theorem 1 regime (p in [1/2, .99], q <~ ps/n, |V_i| >= K log n,
 |U_i| >= K log n, pairwise |V_i Δ V_j| >= K' s) with alpha ~ 0.49*K4*s
@@ -20,7 +23,7 @@ from typing import Iterable, List, Sequence
 
 import numpy as np
 
-from .distance import hamming
+from .distance import CenterIndex
 from .mg import MisraGries
 
 
@@ -49,25 +52,22 @@ def greedy_cluster(
     centers: List[np.ndarray] = []
     sketches: List[MisraGries] = []
     n_assigned: List[int] = []
+    index = CenterIndex(alpha=1.0)  # alpha = 1: plain Hamming distance
 
     for nbrs in stream:
         x = np.asarray(nbrs, dtype=np.int64)
-        if not centers:
-            best, bestd = -1, float("inf")
-        else:
-            ds = [hamming(x, c) for c in centers]
-            best = int(np.argmin(ds))
-            bestd = ds[best]
-        if bestd > alpha:
-            # open x as a new center; its own edges seed the sketch
-            sk = MisraGries(mg_capacity)
-            sk.add_all(x.tolist())
+        sup, best, bestd = np.unique(x), -1, float("inf")
+        if centers:
+            ci, d = index.nearest_block([sup])
+            best, bestd = int(ci[0]), float(d[0])
+        sk = MisraGries(mg_capacity)  # the vertex's own edges
+        sk.add_all(x.tolist())
+        if bestd > alpha:  # open x as a new center, its edges seeding the sketch
+            index.add(sup)
             centers.append(x)
             sketches.append(sk)
             n_assigned.append(1)
         else:
-            sk = MisraGries(mg_capacity)
-            sk.add_all(x.tolist())
             sketches[best].merge(sk)
             n_assigned[best] += 1
 

@@ -18,21 +18,10 @@ from typing import List, Sequence
 
 import numpy as np
 
+from .distance import _flat, densify
+
 N_ITER = 25  # Lloyd iterations per restart
 N_INIT = 5   # seeded restarts; the lowest-cost labeling wins
-
-
-def _densify(points: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """Stack sparse supports into a dense 0/1 matrix over their union
-    support. Returns (matrix, union_support)."""
-    union = np.unique(np.concatenate([np.asarray(p, dtype=np.int64) for p in points if len(p)]))\
-        if any(len(p) for p in points) else np.empty(0, dtype=np.int64)
-    col = {int(v): j for j, v in enumerate(union)}
-    X = np.zeros((len(points), len(union)), dtype=np.float64)
-    for i, p in enumerate(points):
-        for v in p:
-            X[i, col[int(v)]] = 1.0
-    return X, union
 
 
 def _seed_pp(X: np.ndarray, k: int, w: np.ndarray, g: np.random.Generator) -> np.ndarray:
@@ -52,9 +41,10 @@ def _seed_pp(X: np.ndarray, k: int, w: np.ndarray, g: np.random.Generator) -> np
 
 
 def _l1_dist(X: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """n x k L1 distances between 0/1 rows: |x - c|_1 = |x| + |c| - 2 x.c.
-    Every term is an integer below 2**53, so this equals the broadcast
-    ``np.abs(X[:, None] - C[None]).sum(2)`` exactly in O(nk) memory."""
+    """n x k L1 distances |x - c|_1 = |x| + |c| - 2 x.c between binary rows
+    x and rows c in [0, 1] (where |x - c| = x + c - 2xc per coordinate). On
+    0/1 rows every term is an integer below 2**53, so this equals the
+    broadcast ``np.abs(X[:, None] - C[None]).sum(2)`` exactly, in O(nk) memory."""
     return X.sum(axis=1)[:, None] + C.sum(axis=1)[None, :] - 2 * (X @ C.T)
 
 
@@ -110,7 +100,7 @@ def kmedians(
         return []
     k = min(k, n)
     w = np.ones(n) if weights is None else np.asarray(weights, dtype=np.float64)
-    X, _ = _densify(points)
+    X = densify(points, np.unique(_flat(points)[0]), np.float64)  # over the union support
     g = np.random.default_rng(seed)
 
     best_labels, best_cost = None, float("inf")

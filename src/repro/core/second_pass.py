@@ -12,7 +12,8 @@ Two variants, matching the paper:
   k-Medians postprocessing step was skipped).
 
 Both, and the metrics of ``repro.core.bmf``, read one index of the right
-clusters, :class:`_ClusterIndex`, a block of rows at a time; the §4.2
+clusters, :class:`_ClusterIndex` (the :class:`~repro.core.distance.Postings`
+SOFA's center index also uses), a block of rows at a time; the §4.2
 cover :func:`assign_left_bmf_fast` covers a block in rounds. The
 set-based pseudocode versions are the test oracles in
 ``tests/second_pass_reference.py``; ``repro.spark.second_pass_df`` runs
@@ -25,6 +26,8 @@ from itertools import islice
 from typing import Iterable, List, Sequence
 
 import numpy as np
+
+from repro.core.distance import Postings, _flat, _gather, _in_sorted
 
 
 def assign_left_biclustering(
@@ -42,7 +45,7 @@ def assign_left_biclustering(
     sizes, empty = np.maximum(index.sizes, 1), index.sizes == 0
     out: List[int] = []
     for nb, _, _, x in index.blocks(stream):
-        ratios = index.overlap(nb, x) / sizes
+        ratios = index.overlap(nb, *np.divmod(x, index.nkeys)) / sizes
         ratios[:, empty] = -np.inf
         out += ratios.argmax(axis=1).tolist()
     return out
@@ -76,59 +79,29 @@ def prune_to_top_k(
 _BLOCK_ROWS = 1024  # left vertices whose covers are computed together
 
 
-def _gather(ptr: np.ndarray, post: np.ndarray, keys: np.ndarray):
-    """Concatenated CSR rows ``post[ptr[i]:ptr[i+1]]`` for i in ``keys``,
-    plus the length of each."""
-    lo, cnt = ptr[keys], ptr[keys + 1] - ptr[keys]
-    ends = np.cumsum(cnt)
-    idx = np.arange(ends[-1] if len(ends) else 0) + np.repeat(lo - (ends - cnt), cnt)
-    return post[idx], cnt
-
-
-def _in_sorted(table: np.ndarray, codes: np.ndarray):
-    """Positions of ``codes`` in the sorted ``table`` and whether each is
-    there."""
-    at = np.searchsorted(table, codes)
-    found = at < len(table)
-    found[found] = table[at[found]] == codes[found]
-    return at, found
-
-
-class _ClusterIndex:
-    """The right clusters as one index for §4.1, §4.2 and
+class _ClusterIndex(Postings):
+    """The right clusters posted for §4.1, §4.2 and
     ``repro.core.bmf.reconstruction_metrics``: the right ids that lie in
     some cluster ("keys", numbered by rank), the clusters of each key
     (``post[ptr[key]:ptr[key + 1]]``, ascending) and the keys of each
     cluster (``key_of[cptr[c]:cptr[c + 1]]``)."""
 
     def __init__(self, right_clusters: Sequence[Sequence[int]]):
-        self.k = k = len(right_clusters)
+        super().__init__()
         members = [np.unique(np.asarray(vc, dtype=np.int64)) for vc in right_clusters]
-        self.sizes = np.asarray([len(m) for m in members], dtype=np.int64)
-        flat = np.concatenate(members) if k else np.empty(0, dtype=np.int64)
-        self.keys, self.key_of = np.unique(flat, return_inverse=True)
-        self.nkeys = max(len(self.keys), 1)
-        order = np.argsort(self.key_of, kind="stable")
-        self.post = np.repeat(np.arange(k), self.sizes)[order]
-        self.ptr = np.searchsorted(self.key_of[order], np.arange(len(self.keys) + 1))
+        self.add(members)
+        self.k, self.nkeys = len(members), max(len(self.keys), 1)
+        self.key_of = np.searchsorted(self.keys, _flat(members)[0])
         self.cptr = np.concatenate([[0], np.cumsum(self.sizes)])
 
     def blocks(self, rows: Iterable[Sequence[int]]):
         """Per ``_BLOCK_ROWS`` rows: their number, each id's row and value,
         and X, the ids that are keys as sorted ``row * nkeys + key`` codes."""
         rows_iter = iter(rows)
-        while block := [np.asarray(r, dtype=np.int64) for r in islice(rows_iter, _BLOCK_ROWS)]:
-            vals = np.concatenate(block)
-            row = np.repeat(np.arange(len(block)), [len(a) for a in block])
+        while block := list(islice(rows_iter, _BLOCK_ROWS)):
+            vals, row, _ = _flat(block)
             pos, hit = _in_sorted(self.keys, vals)
             yield len(block), row, vals, np.unique(row[hit] * self.nkeys + pos[hit])
-
-    def overlap(self, nb: int, x: np.ndarray) -> np.ndarray:
-        """|Γ(u) ∩ V_c| of a block's ``nb`` rows (codes ``x``), (nb, k)."""
-        prow, pkey = np.divmod(x, self.nkeys)
-        clusters, cnt = _gather(self.ptr, self.post, pkey)
-        cells = np.repeat(prow, cnt) * self.k + clusters
-        return np.bincount(cells, minlength=nb * self.k).reshape(nb, self.k)
 
 
 def assign_left_bmf_fast(
@@ -161,7 +134,7 @@ def assign_left_bmf_fast(
     memberships: List[List[int]] = []
     choice_scores: List[List[float]] = []
     for nb, _, _, x in index.blocks(stream):
-        S = (2 * index.overlap(nb, x) - sizes).astype(np.float64)
+        S = (2 * index.overlap(nb, *np.divmod(x, nkeys)) - sizes).astype(np.float64)
         act = np.flatnonzero(S.max(axis=1, initial=0) > 0)
         S = S[act]  # row i holds the scores of block row act[i]
         y = np.empty(0, dtype=np.int64)

@@ -153,10 +153,10 @@ class SofaEngine:
         sup = _as_support(nbrs)
         ids = sup.tolist()
         sk = MisraGries(self.params.mg_capacity)
-        if len(ids) <= sk.capacity:  # no decrement: every id gets a counter of 1
-            sk.counters, sk.total = dict.fromkeys(ids, 1.0), float(len(ids))
-        else:
-            sk.add_all(ids)
+        # distinct ids added one at a time: every (capacity + 1)-th empties
+        # the sketch, so the last len % (capacity + 1) ids hold a 1 each
+        sk.counters = dict.fromkeys(ids[len(ids) - len(ids) % (sk.capacity + 1):], 1.0)
+        sk.total = float(len(ids))
         self.push_state(CenterState(sup, 1.0, sk))
 
     def push_state(self, state: CenterState) -> None:

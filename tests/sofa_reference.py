@@ -6,7 +6,8 @@ re-queues the surviving centers in front of the item queue. The engine
 in ``repro.core.sofa`` walks the same stream in blocks and must leave
 exactly the same state; ``state_of`` is what the tests compare.
 ``asymmetric_hamming`` is the §5.1 distance as a set formula, the oracle
-of ``repro.core.distance.CenterIndex``.
+of ``repro.core.distance.CenterIndex``, and ``hamming`` is its plain form
+(alpha = 1), Algorithm 1's distance.
 
 Run as a script, it compares the two on every stand-in (dataset, k)
 cell of the grid, and on flickr and wiki at the paper's k = 200, in
@@ -47,6 +48,11 @@ from repro.spark.distributed_sofa import (
 from repro.spark.stream_df import spark_hash_long
 
 N_PARTS = 8
+
+
+def hamming(x: Sequence[int], y: Sequence[int]) -> int:
+    """Symmetric Hamming distance between two supports."""
+    return len(set(x) ^ set(y))
 
 
 def asymmetric_hamming(

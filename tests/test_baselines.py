@@ -9,7 +9,6 @@ from repro.baselines.asso import (
     MemoryBudgetExceeded,
     asso,
     asso_best_tau,
-    dense_from_adj,
     estimate_workspace_bytes,
 )
 from repro.baselines.reduction import (
@@ -36,10 +35,6 @@ def planted():
 
 
 class TestDense:
-    def test_dense_from_adj(self):
-        B = dense_from_adj([np.array([0, 2]), np.array([], dtype=np.int64)], 4)
-        assert B.tolist() == [[1, 0, 1, 0], [0, 0, 0, 0]]
-
     def test_workspace_estimate_flip_invariant(self):
         assert estimate_workspace_bytes(100, 50) == estimate_workspace_bytes(50, 100)
 

@@ -1,12 +1,13 @@
-"""Unit tests for Hamming distances and the inverted center index (§5.1)."""
+"""Unit tests for Hamming distances, the posting index, the inverted
+center index (§5.1) and the densifier."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.distance import CenterIndex, block_distances, hamming
+from repro.core.distance import CenterIndex, Postings, _flat, _in_sorted, block_distances, densify
 
-from .sofa_reference import asymmetric_hamming
+from .sofa_reference import asymmetric_hamming, hamming
 
 supports = st.lists(st.integers(0, 40), max_size=20).map(lambda l: sorted(set(l)))
 
@@ -186,3 +187,79 @@ class TestBlockDistances:
     def test_all_points_empty(self):
         got = block_distances([_sup([]), _sup([])], 0.1)
         assert got.tolist() == [[0.0, 0.0], [0.0, 0.0]]
+
+
+def _overlap(postings, rows):
+    """``Postings.overlap`` of duplicate-free rows, their ids looked up
+    among the keys as the distance and second-pass code does."""
+    vals, row, _ = _flat(rows)
+    at, hit = _in_sorted(postings.keys, vals)
+    return postings.overlap(len(rows), row[hit], at[hit])
+
+
+sets_lists = st.lists(supports, max_size=8)  # empty sets, and no sets at all
+
+
+class TestPostings:
+    @staticmethod
+    def _check(postings, sets):
+        keys = sorted(set().union(*map(set, sets)))
+        assert postings.keys.tolist() == keys
+        assert postings.sizes.tolist() == [len(s) for s in sets]
+        assert postings.ptr[0] == 0 and postings.ptr[-1] == len(postings.post)
+        for i, v in enumerate(keys):
+            got = postings.post[postings.ptr[i]:postings.ptr[i + 1]].tolist()
+            assert got == [c for c, s in enumerate(sets) if v in s]
+
+    @given(sets_lists, st.lists(supports, max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_bruteforce(self, sets, rows):
+        p = Postings()
+        p.add([_sup(s) for s in sets])
+        self._check(p, sets)
+        want = [[len(set(r) & set(s)) for s in sets] for r in rows]
+        assert _overlap(p, [_sup(r) for r in rows]).tolist() == want
+
+    @given(sets_lists, sets_lists)
+    @settings(max_examples=200, deadline=None)
+    def test_two_adds_equal_one_build(self, first, second):
+        two, one = Postings(), Postings()
+        two.add([_sup(s) for s in first])
+        two.add([_sup(s) for s in second])
+        one.add([_sup(s) for s in first + second])
+        for name in ("keys", "ptr", "post", "sizes"):
+            assert getattr(two, name).tolist() == getattr(one, name).tolist()
+        self._check(two, first + second)
+
+    def test_empty(self):
+        p = Postings()
+        p.add([])
+        assert p.keys.size == p.post.size == p.sizes.size == 0
+        assert p.ptr.tolist() == [0]
+        assert _overlap(p, [_sup([1, 2])]).shape == (1, 0)
+
+
+class TestDensify:
+    def test_rows_over_cols(self):
+        X = densify([[1, 5], [5, 9]], np.asarray([1, 5, 9]), np.float64)
+        assert X.tolist() == [[1, 1, 0], [0, 1, 1]]
+        assert X.dtype == np.float64
+
+    def test_ids_outside_cols_are_dropped(self):
+        X = densify([[0, 3, 7, 12], [2]], np.asarray([3, 7, 8]), np.int64)
+        assert X.tolist() == [[1, 1, 0], [0, 0, 0]]
+
+    def test_empty_rows(self):
+        X = densify([np.array([0, 2]), np.array([], dtype=np.int64)], np.arange(4), np.float32)
+        assert X.tolist() == [[1, 0, 1, 0], [0, 0, 0, 0]]
+        assert X.dtype == np.float32
+
+    def test_empty_cols(self):
+        assert densify([[], []], np.empty(0, np.int64), np.float64).shape == (2, 0)
+        assert densify([[4]], np.empty(0, np.int64), np.float64).shape == (1, 0)
+
+    def test_no_rows(self):
+        assert densify([], np.arange(3), np.int64).shape == (0, 3)
+
+    def test_duplicate_ids_set_once(self):
+        assert densify([[2, 2, 0]], np.arange(3), np.int64).tolist() == [[1, 0, 1]]

@@ -1,10 +1,37 @@
 """Tests for Algorithm 1 (greedy streaming biclustering, §3.1)."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import synth_data as sd
 from repro.core.greedy import greedy_cluster
+from repro.core.mg import MisraGries
 from repro.eval.quality import jaccard_quality
+
+from .sofa_reference import hamming
+
+
+def greedy_reference(stream, *, alpha, theta, mg_capacity):
+    """Algorithm 1 as written, on sets: the first center at the smallest
+    Hamming distance takes the vertex unless that distance exceeds
+    alpha, in which case the vertex opens a center. Returns the centers,
+    n_c, the sketches and the thresholded right clusters."""
+    centers, sketches, n_assigned = [], [], []
+    for nbrs in stream:
+        ds = [hamming(nbrs, c) for c in centers]
+        sk = MisraGries(mg_capacity)
+        sk.add_all(list(nbrs))
+        if not ds or min(ds) > alpha:
+            centers.append(list(nbrs))
+            sketches.append(sk)
+            n_assigned.append(1)
+        else:
+            best = ds.index(min(ds))
+            sketches[best].merge(sk)
+            n_assigned[best] += 1
+    right = [[v for v, _ in sk.items_at_least(theta * n)] for sk, n in zip(sketches, n_assigned)]
+    return centers, n_assigned, sketches, right
 
 
 class TestMechanics:
@@ -46,6 +73,41 @@ class TestMechanics:
         stream = [[1, 2], [1, 2], [1, 3]]
         res = greedy_cluster(stream, alpha=3.0, theta=0.1, mg_capacity=8)
         assert sum(res.n_assigned) == 3
+
+
+class TestMatchesSetReference:
+    """A small id alphabet makes distance ties (between centers, and at
+    exactly alpha) common; rows may repeat ids and be empty."""
+
+    @given(
+        st.lists(st.lists(st.integers(0, 9), max_size=7), max_size=40),
+        st.sampled_from([0.0, 1.0, 2.0, 2.5, 4.0]),
+        st.sampled_from([0.3, 0.5, 0.8]),
+        st.sampled_from([2, 5, 50]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_small_alphabet(self, stream, alpha, theta, cap):
+        self._check(stream, alpha, theta, cap)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("alpha", [1.0, 3.0, 5.0])
+    def test_long_random_stream(self, seed, alpha):
+        rng = np.random.default_rng(seed)
+        stream = [rng.integers(0, 12, rng.integers(0, 9)).tolist() for _ in range(300)]
+        self._check(stream, alpha, 0.5, 6)
+
+    @staticmethod
+    def _check(stream, alpha, theta, cap):
+        """Same centers, n_c, sketch counters (in order) and totals, and
+        right clusters."""
+        res = greedy_cluster(stream, alpha=alpha, theta=theta, mg_capacity=cap)
+        centers, n_assigned, sketches, right = greedy_reference(
+            stream, alpha=alpha, theta=theta, mg_capacity=cap)
+        assert [c.tolist() for c in res.centers] == centers
+        assert res.n_assigned == n_assigned
+        assert [(list(s.counters.items()), s.total) for s in res.sketches] == \
+            [(list(s.counters.items()), s.total) for s in sketches]
+        assert [c.tolist() for c in res.right_clusters] == right
 
 
 class TestTheorem1Regime:

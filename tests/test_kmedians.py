@@ -2,21 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.core.kmedians import _densify, _l1_dist, kmedians
-
-
-class TestDensify:
-    def test_union_support(self):
-        X, union = _densify([[1, 5], [5, 9]])
-        assert union.tolist() == [1, 5, 9]
-        assert X.shape == (2, 3)
-        assert X[0].tolist() == [1, 1, 0]
-        assert X[1].tolist() == [0, 1, 1]
-
-    def test_all_empty(self):
-        X, union = _densify([[], []])
-        assert X.shape == (2, 0)
-        assert union.size == 0
+from repro.core.kmedians import _l1_dist, kmedians
 
 
 class TestL1Dist:

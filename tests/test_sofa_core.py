@@ -1,10 +1,13 @@
 """Tests for the sequential SOFA engine (Algorithm 2, §3.2)."""
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro import synth_data as sd
 from repro.core.sofa import (
     CenterState,
+    SofaEngine,
     SofaParams,
     SofaResult,
     merge_center_states,
@@ -24,6 +27,34 @@ class TestParams:
     def test_cmax_must_exceed_k(self):
         with pytest.raises(ValueError):
             SofaParams(k=5, c_max=5, mg_capacity=10)
+
+
+class TestFreshSketch:
+    """``push`` builds a fresh vertex's sketch in closed form; it must be
+    the sketch of its distinct ids added one at a time."""
+
+    @given(st.integers(1, 8).flatmap(
+        lambda c: st.tuples(st.just(c), st.integers(0, 3 * c + 2), st.randoms())))
+    @settings(max_examples=300, deadline=None)
+    @example((3, 0, None))  # no ids, then multiples of capacity + 1
+    @example((3, 4, None))
+    @example((3, 8, None))
+    @example((3, 12, None))
+    @example((1, 2, None))
+    def test_matches_adding_ids_one_by_one(self, case):
+        cap, n_ids, rnd = case
+        ids = list(range(0, 3 * n_ids, 3))
+        if rnd is not None:
+            rnd.shuffle(ids)
+            ids += ids[:2]  # a repeated id counts once
+        eng = SofaEngine(make_params(k=1, c_max=2, mg_capacity=cap))
+        eng.push(ids)
+        eng.flush()  # the first item always opens a center
+        want = MisraGries(cap)
+        want.add_all(sorted(set(ids)))
+        got = eng.centers[0].sketch
+        assert list(got.counters.items()) == list(want.counters.items())
+        assert got.total == want.total and isinstance(got.total, float)
 
 
 class TestMechanics:
