@@ -34,7 +34,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from repro.core.bmf import reconstruction_metrics
+from repro.core.bmf import ReconstructionMetrics, reconstruction_metrics
 from repro.core.distance import densify
 
 DEFAULT_TAU_GRID = (0.2, 0.4, 0.6, 0.8)  # the paper's basso grid
@@ -47,22 +47,15 @@ class MemoryBudgetExceeded(MemoryError):
 
 @dataclass
 class AssoResult:
-    """Factors in cluster form: left[i] ⊆ U and right[i] ⊆ V per factor."""
+    """Factors in cluster form: left[i] ⊆ U and right[i] ⊆ V per factor,
+    and each left vertex's factors (one list per row of the input, for
+    the shared metrics)."""
 
     left: List[np.ndarray]
     right: List[np.ndarray]
     tau: float
     workspace_bytes: int
-
-    @property
-    def memberships(self) -> List[List[int]]:
-        """Per-left-vertex membership lists (for the shared metrics)."""
-        m = max((int(l.max()) + 1 for l in self.left if len(l)), default=0)
-        out: List[List[int]] = [[] for _ in range(m)]
-        for i, l in enumerate(self.left):
-            for u in l:
-                out[int(u)].append(i)
-        return out
+    memberships: List[List[int]]
 
 
 def estimate_workspace_bytes(m: int, n: int) -> int:
@@ -114,7 +107,7 @@ def asso(
     right: List[np.ndarray] = []
     if len(cand) == 0:
         empty = [np.empty(0, np.int64) for _ in range(k)]
-        return AssoResult(left=empty, right=list(empty), tau=tau, workspace_bytes=ws)
+        return AssoResult(empty, list(empty), tau, ws, [[] for _ in range(m)])
 
     # Signed uncovered-cell matrix: +1 reward (B=1, uncovered), -1 penalty
     # (B=0, uncovered), 0 once covered. gains = S @ cand.T is computed once;
@@ -142,7 +135,11 @@ def asso(
 
     if flipped:
         left, right = right, left
-    return AssoResult(left=left, right=right, tau=tau, workspace_bytes=ws)
+    memberships: List[List[int]] = [[] for _ in range(m)]
+    for i, rows in enumerate(left):
+        for u in rows:
+            memberships[u].append(i)
+    return AssoResult(left, right, tau, ws, memberships)
 
 
 def asso_best_tau(
@@ -150,21 +147,15 @@ def asso_best_tau(
     n_right: int,
     k: int,
     *,
-    tau_grid: Sequence[float] = DEFAULT_TAU_GRID,
     budget_bytes: int = DEFAULT_BUDGET_BYTES,
-) -> AssoResult:
-    """Paper protocol: try every tau in the grid, keep the best by
-    relative Hamming gain (computed sparsely via the shared metrics)."""
-    best: AssoResult | None = None
-    best_gain = -np.inf
-    for tau in tau_grid:
+) -> tuple[AssoResult, ReconstructionMetrics]:
+    """Paper protocol: try every tau of the paper's grid
+    ``DEFAULT_TAU_GRID``, keep the best by relative Hamming gain (the
+    first in grid order on a tie); returns it with its metrics."""
+    best = None
+    for tau in DEFAULT_TAU_GRID:
         res = asso(adj, n_right, k, tau=tau, budget_bytes=budget_bytes)
-        mem = res.memberships
-        mem += [[] for _ in range(len(adj) - len(mem))]
-        gain = reconstruction_metrics(
-            adj, mem, [r.tolist() for r in res.right]
-        ).relative_hamming_gain
-        if gain > best_gain:
-            best, best_gain = res, gain
-    assert best is not None
+        met = reconstruction_metrics(adj, res.memberships, res.right)
+        if best is None or met.relative_hamming_gain > best[1].relative_hamming_gain:
+            best = (res, met)
     return best

@@ -55,11 +55,11 @@ def random_subgraph_clusters(
     *,
     m_tilde: int,
     n_tilde: int,
-    method: Callable[[np.ndarray, int], SpectralResult],
+    method: Callable[..., SpectralResult],
     seed: int = 0,
 ) -> ReductionResult:
     """Run the full §5.5 first pass with the given static co-clustering
-    ``method`` (e.g. :func:`dhillon_cocluster`)."""
+    ``method(B, k, seed=seed)`` (e.g. :func:`dhillon_cocluster`)."""
     sample = reservoir_sample_indices(len(adj), m_tilde, seed=seed)
     rows = [adj[int(u)] for u in sample]
     # V' with in-sample degrees; V'' = top-ñ by degree (ties: lower id)
@@ -67,7 +67,7 @@ def random_subgraph_clusters(
     vpp = np.sort(vprime[np.lexsort((vprime, -deg))[:n_tilde]])
 
     B = densify(rows, vpp, np.float32)
-    res = method(B, k)
+    res = method(B, k, seed=seed)
     clusters = labels_to_right_clusters(res.col_labels, vpp, k)
 
     # attach low-degree leftovers V' \ V'' by average-neighborhood distance
@@ -97,13 +97,9 @@ def random_subgraph_clusters(
 
 def rs_dhillon(adj, k, *, m_tilde, n_tilde, seed=0) -> ReductionResult:
     return random_subgraph_clusters(
-        adj, k, m_tilde=m_tilde, n_tilde=n_tilde,
-        method=lambda B, kk: dhillon_cocluster(B, kk, seed=seed), seed=seed,
-    )
+        adj, k, m_tilde=m_tilde, n_tilde=n_tilde, method=dhillon_cocluster, seed=seed)
 
 
 def rs_zha(adj, k, *, m_tilde, n_tilde, seed=0) -> ReductionResult:
     return random_subgraph_clusters(
-        adj, k, m_tilde=m_tilde, n_tilde=n_tilde,
-        method=lambda B, kk: zha_cocluster(B, kk, seed=seed), seed=seed,
-    )
+        adj, k, m_tilde=m_tilde, n_tilde=n_tilde, method=zha_cocluster, seed=seed)

@@ -38,8 +38,9 @@ class SpectralResult:
     workspace_bytes: int
 
 
-def _kmeans_real(X: np.ndarray, k: int, *, n_iter: int = 50, seed: int = 0) -> np.ndarray:
-    """Plain k-means (L2) with k-means++ seeding on real-valued rows."""
+def _kmeans_real(X: np.ndarray, k: int, *, seed: int = 0) -> np.ndarray:
+    """Plain k-means (L2) with k-means++ seeding on real-valued rows, at
+    most 50 Lloyd iterations."""
     n = X.shape[0]
     k = min(k, n)
     g = np.random.default_rng(seed)
@@ -51,7 +52,7 @@ def _kmeans_real(X: np.ndarray, k: int, *, n_iter: int = 50, seed: int = 0) -> n
         d2 = np.minimum(d2, ((X - X[centers[-1]]) ** 2).sum(axis=1))
     C = X[centers].copy()
     labels = np.full(n, -1)
-    for _ in range(n_iter):
+    for _ in range(50):
         dists = ((X[:, None, :] - C[None, :, :]) ** 2).sum(axis=2)
         new = dists.argmin(axis=1)
         if np.array_equal(new, labels):

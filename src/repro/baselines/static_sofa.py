@@ -39,15 +39,13 @@ def static_sofa(
     seed: int = 0,
 ) -> StaticSofaResult:
     """Offline clustering + exact-count thresholding."""
-    labels = kmedians([a.tolist() for a in adj], k, seed=seed)
+    labels = kmedians(adj, k, seed=seed)
     n_clusters = (max(labels) + 1) if labels else 0
     counts = np.zeros((n_clusters, n_right), dtype=np.int64)
     np.add.at(counts, np.asarray(labels, np.int64), densify(adj, np.arange(n_right), np.int64))
     sizes = np.bincount(labels, minlength=n_clusters)
-    right = []
-    for c in range(n_clusters):
-        thr = theta * sizes[c]
-        right.append(np.flatnonzero(counts[c] >= thr).astype(np.int64))
+    right = [np.flatnonzero(counts[c] >= theta * sizes[c]).astype(np.int64)
+             for c in range(n_clusters)]
     # workspace: dense m x (union support) clustering matrix + exact counts
     union = np.count_nonzero(counts.any(axis=0))
     ws = 8 * len(adj) * max(1, union) + counts.nbytes

@@ -18,13 +18,13 @@ array code over the second pass's cluster index that
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, count
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
 from repro.core.distance import _gather
-from repro.core.second_pass import _BLOCK_ROWS, _ClusterIndex
+from repro.core.second_pass import _ClusterIndex
 
 
 @dataclass
@@ -57,8 +57,8 @@ def reconstruction_metrics(
     tp the ones among them found in X (Γ(u)'s codes), fp the rest, and
     ones the distinct (row, id) pairs of Γ(u)."""
     index = _ClusterIndex(right_clusters)
-    ones = tp = covered = 0
-    for lo, (nb, row, vals, x) in zip(count(0, _BLOCK_ROWS), index.blocks(adj)):
+    ones = tp = covered = lo = 0
+    for nb, row, vals, x in index.blocks(adj):
         o = np.lexsort((vals, row))
         ones += len(o) - np.count_nonzero((np.diff(row[o]) == 0) & (np.diff(vals[o]) == 0))
         mems = memberships[lo:lo + nb]
@@ -67,4 +67,5 @@ def reconstruction_metrics(
         cover = np.unique(np.repeat(mrow, cnt) * index.nkeys + ck)
         tp += np.count_nonzero(np.isin(cover, x, assume_unique=True))
         covered += len(cover)
+        lo += nb
     return ReconstructionMetrics(int(ones), int(tp), int(covered - tp))

@@ -46,14 +46,11 @@ def theta_crossing(p: float, q: float) -> float:
 
 
 def auto_theta(
-    counter_sets: Iterable[Sequence[float]],
-    weights: Sequence[float],
-    *,
-    p_grid: Sequence[float] = _P_GRID,
-    q_grid: Sequence[float] = _Q_GRID,
+    counter_sets: Iterable[Sequence[float]], weights: Sequence[float]
 ) -> Tuple[float, float, float]:
-    """sofa-auto: pick (p*, q*) maximizing the hard-assignment likelihood
-    of the observed MG counters; return (theta*, p*, q*).
+    """sofa-auto: pick (p*, q*) on the fixed §5.4 grid ``_P_GRID`` ×
+    ``_Q_GRID`` maximizing the hard-assignment likelihood of the observed
+    MG counters; return (theta*, p*, q*).
 
     ``counter_sets[i]`` are the counter values of cluster group i,
     ``weights[i]`` its total weight W_i. Groups with W_i <= 0 or no
@@ -93,11 +90,11 @@ def auto_theta(
     def logpmf(prob: float) -> np.ndarray:
         return coef + c * math.log(prob) + rest * math.log1p(-prob)
 
-    lq = {q: logpmf(q) for q in q_grid}
+    lq = {q: logpmf(q) for q in _Q_GRID}
     best = (-math.inf, 0.5, 0.01)
-    for p in p_grid:
+    for p in _P_GRID:
         lp = logpmf(p)
-        for q in q_grid:
+        for q in _Q_GRID:
             if q >= p:
                 continue
             ll = float(np.maximum(lp, lq[q]).cumsum()[-1]) if len(c) else 0.0

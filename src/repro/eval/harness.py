@@ -78,15 +78,15 @@ class CellResult:
         return self.note != "oom"
 
 
-def sofa_params_for(graph: BipartiteGraph, k: int, *, seed: int = 0) -> SofaParams:
+def sofa_params_for(graph: BipartiteGraph, k: int) -> SofaParams:
     """§6.2 parameter rules: c_max = 20k, s = P99(degree),
-    mg_capacity = max(3 s, 0.05 n)."""
+    mg_capacity = max(3 s, 0.05 n); seed 0."""
     degs = graph.degrees()
     pos = degs[degs > 0]
     s = int(np.percentile(pos, 99)) if len(pos) else 1
     cap = max(3 * s, int(0.05 * graph.n_right))
     return SofaParams(
-        k=k, c_max=20 * k, mg_capacity=max(8, cap), seed=seed, skip_kmedians=True
+        k=k, c_max=20 * k, mg_capacity=max(8, cap), seed=0, skip_kmedians=True
     )
 
 
@@ -115,14 +115,14 @@ def _evaluate_theta(
 ) -> Tuple[float, float, List[List[int]]]:
     """Second pass for one θ: cover with all candidate clusters, prune to
     the top-k by total score, compute (gain, recall)."""
-    candidates = [g.right_cluster(theta).tolist() for g in result.groups]
+    candidates = [g.right_cluster(theta) for g in result.groups]
     bmf = assign_left_bmf_fast(graph.adj, candidates)
     kept, kept_idx = prune_to_top_k(candidates, bmf.cluster_scores, k)
     remap = {old: new for new, old in enumerate(kept_idx)}
     memberships = [
         [remap[c] for c in mem if c in remap] for mem in bmf.memberships
     ]
-    met = reconstruction_metrics(graph.adj, memberships, [c.tolist() for c in kept])
+    met = reconstruction_metrics(graph.adj, memberships, kept)
     return met.relative_hamming_gain, met.recall, memberships
 
 
@@ -137,15 +137,13 @@ def _run_sofa(
         thetas: Sequence[float] = (theta,)
     else:
         thetas = LINE_SEARCH_THETAS
-    best = (-np.inf, -np.inf, None)
-    best_mem: List[List[int]] = []
+    best = (-np.inf, -np.inf, None, [])
     for th in thetas:
         gain, recall, memberships = _evaluate_theta(graph, result, th, k)
         if gain > best[0]:
-            best = (gain, recall, th)
-            best_mem = memberships
+            best = (gain, recall, th, memberships)
     seconds = pass_seconds + (time.perf_counter() - t0)
-    mem = result.state_bytes() + membership_bytes(best_mem)
+    mem = result.state_bytes() + membership_bytes(best[3])
     return CellResult(
         dataset=dataset,
         algorithm="sofa-auto" if auto else "sofa",
@@ -163,7 +161,7 @@ def _run_basso(dataset: str, k: int) -> CellResult:
     t0 = time.perf_counter()
     ws = estimate_workspace_bytes(graph.n_left, graph.n_right)
     try:
-        res = asso_best_tau(graph.adj, graph.n_right, k, budget_bytes=ASSO_BUDGET)
+        _, met = asso_best_tau(graph.adj, graph.n_right, k, budget_bytes=ASSO_BUDGET)
     except MemoryBudgetExceeded:
         return CellResult(
             dataset=dataset, algorithm="basso", k=k,
@@ -173,9 +171,6 @@ def _run_basso(dataset: str, k: int) -> CellResult:
         )
     # paper reports basso's average single-τ time; we report it likewise
     seconds = (time.perf_counter() - t0) / len(DEFAULT_TAU_GRID)
-    mems = res.memberships
-    mems += [[] for _ in range(graph.n_left - len(mems))]
-    met = reconstruction_metrics(graph.adj, mems, [r.tolist() for r in res.right])
     return CellResult(
         dataset=dataset, algorithm="basso", k=k,
         gain=met.relative_hamming_gain, recall=met.recall,
@@ -188,9 +183,8 @@ def _run_rs(dataset: str, k: int, *, zha: bool) -> CellResult:
     fn = rs_zha if zha else rs_dhillon
     t0 = time.perf_counter()
     red = fn(graph.adj, k, m_tilde=RS_SAMPLE, n_tilde=RS_SAMPLE, seed=0)
-    clusters = [c.tolist() for c in red.right_clusters]
-    bmf = assign_left_bmf_fast(graph.adj, clusters)
-    met = reconstruction_metrics(graph.adj, bmf.memberships, clusters)
+    bmf = assign_left_bmf_fast(graph.adj, red.right_clusters)
+    met = reconstruction_metrics(graph.adj, bmf.memberships, red.right_clusters)
     seconds = time.perf_counter() - t0
     return CellResult(
         dataset=dataset,
@@ -207,16 +201,11 @@ def run_cell(
     spark: Optional[SparkSession], dataset: str, algorithm: str, k: int
 ) -> CellResult:
     """Run one (dataset, algorithm, k) cell of Tables 2–5."""
-    if algorithm == "sofa":
-        assert spark is not None, "sofa needs a SparkSession"
-        return _run_sofa(spark, dataset, k, auto=False)
-    if algorithm == "sofa-auto":
-        assert spark is not None, "sofa-auto needs a SparkSession"
-        return _run_sofa(spark, dataset, k, auto=True)
+    if algorithm in ("sofa", "sofa-auto"):
+        assert spark is not None, f"{algorithm} needs a SparkSession"
+        return _run_sofa(spark, dataset, k, auto=algorithm == "sofa-auto")
     if algorithm == "basso":
         return _run_basso(dataset, k)
-    if algorithm == "rs-dhillon":
-        return _run_rs(dataset, k, zha=False)
-    if algorithm == "rs-zha":
-        return _run_rs(dataset, k, zha=True)
+    if algorithm in ("rs-dhillon", "rs-zha"):
+        return _run_rs(dataset, k, zha=algorithm == "rs-zha")
     raise ValueError(f"unknown algorithm {algorithm!r}; known: {ALGORITHMS}")

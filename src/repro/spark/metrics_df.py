@@ -1,8 +1,10 @@
 """Reconstruction metrics as one Spark operator (paper §6.2 measures).
 
-B and B̃ = L ∘ R are never materialized. Edges and memberships become
-one neighbor and one cluster list per left vertex, full-outer-joined on
-``u``; a ``mapInArrow`` operator decodes each Arrow batch with
+B and B̃ = L ∘ R are never materialized. Edge rows (u, v, NULL) and
+membership rows (u, NULL, cluster) are unioned and grouped once by
+``u`` into a neighbor and a cluster list per left vertex
+(``collect_list`` skips the NULLs), with no join; a ``mapInArrow``
+operator decodes each Arrow batch with
 :func:`~repro.spark.stream_df.arrival_order` and counts it with
 :func:`repro.core.bmf.reconstruction_metrics` (cluster table collected
 once, captured in the closure); a final sum adds the batches' (ones, tp,
@@ -43,11 +45,12 @@ def metrics_summary_df(
             yield pa.RecordBatch.from_pydict(
                 {"ones": [met.ones], "tp": [met.true_positives], "fp": [met.false_positives]})
 
-    rows = edges_df.groupBy("u").agg(F.collect_list("v").alias("neighbors")).join(
+    none = F.lit(None).cast("bigint")
+    rows = edges_df.select("u", "v", none.alias("cluster")).unionByName(
         membership_df.where(F.col("cluster").between(0, k - 1))
-        .groupBy("u").agg(F.collect_list("cluster").alias("clusters")),
-        "u", "full_outer",
-    )
+        .select("u", none.alias("v"), "cluster")
+    ).groupBy("u").agg(
+        F.collect_list("v").alias("neighbors"), F.collect_list("cluster").alias("clusters"))
     # coalesce: the sum over no rows (an edgeless, uncovered stream) is null
     return rows.mapInArrow(run, schema="ones bigint, tp bigint, fp bigint").agg(
         *(F.coalesce(F.sum(c), F.lit(0)).alias(c) for c in ("ones", "tp", "fp"))

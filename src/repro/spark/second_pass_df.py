@@ -18,6 +18,7 @@ import pyarrow as pa
 import pyspark.sql.functions as F
 from pyspark.sql import DataFrame, SparkSession, Window
 
+from repro.core.distance import _flat
 from repro.core.second_pass import assign_left_bmf_fast
 from repro.spark.stream_df import arrival_order, keep_zip_directories
 
@@ -25,11 +26,8 @@ from repro.spark.stream_df import arrival_order, keep_zip_directories
 def clusters_to_df(spark: SparkSession, right_clusters: Sequence[Sequence[int]]) -> DataFrame:
     """Cluster membership table (cluster BIGINT, v BIGINT). Empty clusters
     contribute no rows."""
-    sizes = np.asarray([len(vc) for vc in right_clusters], dtype=np.int64)
-    table = pa.table({
-        "cluster": np.repeat(np.arange(len(sizes), dtype=np.int64), sizes),
-        "v": np.concatenate([np.empty(0, np.int64), *(np.asarray(vc, np.int64) for vc in right_clusters)]),
-    })
+    v, cluster, _ = _flat(right_clusters)
+    table = pa.table({"cluster": cluster, "v": v})
     return spark.createDataFrame(table, schema="cluster bigint, v bigint")
 
 

@@ -99,7 +99,13 @@ def sofa_from_stream_dir(
     while Spark runs the next trigger. An engine error stops the query
     at the second batch after it and is raised here with its own type.
     The executor is shut down, every push finished, before this returns
-    or raises."""
+    or raises. The engine is not checkpointed, so a query resumed from
+    ``checkpoint_dir`` would skip its committed batches: a directory that
+    holds one is a ``ValueError`` until engine snapshots (ROADMAP item 6)."""
+    commits = checkpoint_dir and os.path.join(checkpoint_dir, "commits")
+    if commits and os.path.isdir(commits) and os.listdir(commits):
+        raise ValueError(f"checkpoint_dir {checkpoint_dir!r} holds committed batches, which "
+                         "a resumed query would skip: engine snapshots are ROADMAP item 6")
     engine = SofaEngine(params, m_hint=m_hint)
     pusher = ThreadPoolExecutor(max_workers=1, thread_name_prefix="sofa-engine")
     pushes: list[Future] = []

@@ -12,6 +12,8 @@ from typing import List
 
 import numpy as np
 
+ZIPF_ALPHA = 1.3  # background popularity exponent of planted_zipf_bipartite
+
 
 @dataclass
 class BipartiteGraph:
@@ -90,7 +92,6 @@ def planted_zipf_bipartite(
     p: float,
     memberships_per_left: float,
     background_deg: float,
-    zipf_alpha: float = 1.3,
     degree_zipf: float = 0.0,
     seed: int = 0,
 ) -> BipartiteGraph:
@@ -102,7 +103,7 @@ def planted_zipf_bipartite(
     cluster memberships (possibly zero — a pure-noise vertex), links to each
     member cluster's right vertices w.p. ``p``, and adds
     ``Poisson(background_deg)`` background edges to right vertices drawn
-    from a zipf(``zipf_alpha``) popularity distribution — reproducing the
+    from a zipf(``ZIPF_ALPHA`` = 1.3) popularity distribution — reproducing the
     few-high-degree-right-vertices property the paper stresses. When
     ``degree_zipf > 0``, per-left-vertex activity is itself zipf-skewed, so
     the median left degree can be driven to ~1 (the Book pathology).
@@ -112,7 +113,7 @@ def planted_zipf_bipartite(
         np.sort(g.choice(n_right, size=r, replace=False)) for _ in range(k_true)
     ]
     # zipf popularity over right vertices for background edges
-    pop = 1.0 / np.arange(1, n_right + 1) ** zipf_alpha
+    pop = 1.0 / np.arange(1, n_right + 1) ** ZIPF_ALPHA
     pop /= pop.sum()
     pop_perm = g.permutation(n_right)  # popular ids scattered, not 0..n
     left_clusters: List[np.ndarray] = [[] for _ in range(k_true)]

@@ -9,15 +9,31 @@ the same memberships, choice scores and cluster scores.
 ``reconstruction_metrics`` the §6.2 counters (ones, tp, fp), one set
 per row; ``repro.core.second_pass.assign_left_biclustering`` and
 ``repro.core.bmf.reconstruction_metrics`` must return exactly the same.
+
+Run as a script, it prints a digest of the array second pass on every
+stand-in (dataset, k ∈ ``K_GRID``, θ ∈ ``LINE_SEARCH_THETAS``), over the
+sequential first pass with ``sofa_params_for``: hashes of the §4.2
+cover's memberships, choice scores and cluster scores, of the §4.1
+labels, and the (ones, tp, fp) of the cover, unpruned and pruned to the
+top k. Run it in each checkout and diff the two outputs; a change that
+keeps the second pass exact prints the same text::
+
+    PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python -m tests.second_pass_reference
 """
 from __future__ import annotations
 
+import hashlib
 from typing import Iterable, List, Sequence
 
 import numpy as np
 
+from repro.core import bmf, second_pass
 from repro.core.bmf import ReconstructionMetrics
 from repro.core.second_pass import BmfAssignment
+from repro.core.sofa import sofa_pass
+from repro.core.thresholds import LINE_SEARCH_THETAS
+from repro.eval.datasets import DATASET_NAMES, K_GRID, load_dataset
+from repro.eval.harness import sofa_params_for
 
 
 def score(a: set, x: set, y: set) -> int:
@@ -94,3 +110,35 @@ def reconstruction_metrics(
         tp += len(gu & cover)
         fp += len(cover - gu)
     return ReconstructionMetrics(ones, tp, fp)
+
+
+def digest(obj) -> str:
+    return hashlib.sha1(repr(obj).encode()).hexdigest()[:16]
+
+
+def counts(met: ReconstructionMetrics) -> tuple:
+    return met.ones, met.true_positives, met.false_positives
+
+
+def main() -> None:
+    print("dataset k theta candidates memberships choice_scores cluster_scores"
+          " labels counts pruned_counts")
+    for ds in DATASET_NAMES:
+        g = load_dataset(ds)
+        for k in K_GRID:
+            res = sofa_pass([a.tolist() for a in g.adj], sofa_params_for(g, k), m_hint=g.n_left)
+            for theta in LINE_SEARCH_THETAS:
+                clusters = [gr.right_cluster(theta) for gr in res.groups]
+                cover = second_pass.assign_left_bmf_fast(g.adj, clusters)
+                labels = second_pass.assign_left_biclustering(g.adj, clusters)
+                kept, kept_idx = second_pass.prune_to_top_k(clusters, cover.cluster_scores, k)
+                new = {old: i for i, old in enumerate(kept_idx)}
+                pruned = [[new[c] for c in mem if c in new] for mem in cover.memberships]
+                print(ds, k, theta, len(clusters), digest(cover.memberships),
+                      digest(cover.choice_scores), digest(cover.cluster_scores.tolist()),
+                      digest(labels), counts(bmf.reconstruction_metrics(g.adj, cover.memberships, clusters)),
+                      counts(bmf.reconstruction_metrics(g.adj, pruned, kept)), flush=True)
+
+
+if __name__ == "__main__":
+    main()

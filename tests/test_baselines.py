@@ -52,7 +52,7 @@ class TestAsso:
         assert m.relative_hamming_gain == pytest.approx(1.0)
 
     def test_noisy_planted_good_gain(self, planted):
-        res = asso_best_tau(planted.adj, planted.n_right, 4)
+        res, _ = asso_best_tau(planted.adj, planted.n_right, 4)
         mems = res.memberships
         mems += [[] for _ in range(len(planted.adj) - len(mems))]
         m = reconstruction_metrics(
@@ -81,6 +81,45 @@ class TestAsso:
 
     def test_tau_grid_default(self):
         assert DEFAULT_TAU_GRID == (0.2, 0.4, 0.6, 0.8)
+
+
+class TestAssoMemberships:
+    """``AssoResult.memberships``: one list per input row, the factors
+    whose left part holds that row, in factor order."""
+
+    def _check(self, res, adj):
+        assert len(res.memberships) == len(adj)
+        assert res.memberships == [
+            [i for i, rows in enumerate(res.left) if u in rows.tolist()]
+            for u in range(len(adj))
+        ]
+
+    def test_plain_with_trailing_uncovered_rows(self):
+        adj = [np.arange(0, 3)] * 3 + [np.arange(5, 8)] * 2 + [np.empty(0, np.int64)] * 2
+        res = asso(adj, 10, 2, tau=0.5)
+        self._check(res, adj)
+        assert res.memberships[-2:] == [[], []]
+        assert sum(map(len, res.memberships)) == 5
+
+    def test_flipped_with_trailing_uncovered_rows(self):
+        adj = [np.array([0, 1])] * 20 + [np.empty(0, np.int64)] * 10  # 30 x 3
+        res = asso(adj, 3, 1, tau=0.5)
+        self._check(res, adj)
+        assert res.memberships == [[0]] * 20 + [[]] * 10
+
+    def test_no_candidate(self):
+        adj = [np.empty(0, np.int64)] * 4
+        res = asso(adj, 5, 3, tau=0.5)
+        assert res.memberships == [[]] * 4
+
+    def test_best_tau_returns_its_metrics(self, planted):
+        res, met = asso_best_tau(planted.adj, planted.n_right, 4)
+        assert met == reconstruction_metrics(planted.adj, res.memberships, res.right)
+        gains = [
+            reconstruction_metrics(planted.adj, r.memberships, r.right).relative_hamming_gain
+            for r in (asso(planted.adj, planted.n_right, 4, tau=t) for t in DEFAULT_TAU_GRID)
+        ]
+        assert res.tau == DEFAULT_TAU_GRID[gains.index(max(gains))]  # first best τ
 
 
 class TestSpectral:

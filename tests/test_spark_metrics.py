@@ -167,3 +167,13 @@ class TestOracle:
             columns=["cluster", "v"],
         )
         assert_equivalent(summary, SUMMARY_SQL, e=edge_frame(graph), m=mpdf, c=cpdf)
+
+
+class TestPlan:
+    def test_one_aggregation_by_u_and_no_join(self, dfs):
+        """Edges and memberships are grouped by ``u`` once, over their
+        union, not grouped twice and joined."""
+        _, edges, cdf, mdf = dfs
+        plan = metrics_summary_df(edges, mdf, cdf)._jdf.queryExecution().optimizedPlan().toString()
+        assert "Join" not in plan
+        assert plan.count("Aggregate [u") == 1

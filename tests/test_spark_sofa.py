@@ -1,6 +1,7 @@
 """Tests for the distributed SOFA operator and Structured Streaming path."""
 import json
 import os
+import re
 import threading
 import time
 
@@ -244,6 +245,22 @@ class TestStructuredStreaming:
         assert res.n_processed == planted.n_left
         q = jaccard_quality(planted.right_clusters, res.right_clusters(0.5))
         assert q > 0.7, f"quality={q}"
+
+    def test_reused_checkpoint_raises(self, spark, tmp_path, params):
+        """A second run on a checkpoint with committed batches would resume
+        past them with an empty engine: it raises instead of returning an
+        empty result. An existing directory without commits is fresh."""
+        g = sd.bipartite_sbm(k=3, ell=30, n_right=120, r=10, p=0.9, q=0.02, seed=4)
+        sdir, ckpt = str(tmp_path / "s"), tmp_path / "ckpt"
+        write_stream_files(g, sdir, vertices_per_file=16)
+        ckpt.mkdir()
+        first = sofa_from_stream_dir(spark, sdir, params, m_hint=g.n_left,
+                                     checkpoint_dir=str(ckpt))
+        assert first.n_processed == g.n_left and first.centers
+        assert os.listdir(ckpt / "commits")
+        with pytest.raises(ValueError, match=re.escape(str(ckpt)) + ".*item 6"):
+            sofa_from_stream_dir(spark, sdir, params, m_hint=g.n_left,
+                                 checkpoint_dir=str(ckpt))
 
     def test_micro_batching_does_not_lose_vertices(self, spark, tmp_path, params):
         g = sd.bipartite_sbm(k=2, ell=20, n_right=100, r=10, p=0.9, q=0.01, seed=9)
